@@ -637,7 +637,7 @@ impl OptimizationCampaign {
 
 /// A run with everything validated and its footprint measured, ready to
 /// execute — the campaign's [`Workload`] unit. Construction is
-/// crate-internal (through [`Workload::prepare`]).
+/// crate-internal (through [`Workload::prepare_unit`]).
 #[derive(Debug)]
 pub struct PreparedRun {
     pub(crate) spec: OptimizeSpec,
@@ -652,7 +652,10 @@ pub struct PreparedRun {
     pub(crate) pipeline: StagedPipeline,
 }
 
-pub(crate) fn prepare_run(spec: OptimizeSpec, seed: u64) -> Result<PreparedRun, EngineError> {
+/// Runs every check a run must pass before [`prepare_run`] may build it
+/// — the campaign's half of [`Workload::expand_units`] — and returns the
+/// run's eq.-12 per-stage yield allocation. Builds no netlist.
+pub(crate) fn validate_run(spec: &OptimizeSpec) -> Result<f64, EngineError> {
     let label = &spec.label;
     let fail = |msg: String| EngineError::new(format!("run '{label}': {msg}"));
     spec.pipeline.validate().map_err(&fail)?;
@@ -746,20 +749,24 @@ pub(crate) fn prepare_run(spec: OptimizeSpec, seed: u64) -> Result<PreparedRun, 
             .stage_allocation(stages),
         _ => stage_yield_target(spec.yield_target, stages),
     };
+    Ok(stage_allocation)
+}
+
+/// Builds a run that passed [`validate_run`] into an executable unit.
+pub(crate) fn prepare_run(spec: &OptimizeSpec, seed: u64) -> Result<PreparedRun, EngineError> {
+    let stage_allocation = validate_run(spec)?;
     // Built once here; plan reads its gate count, execution reuses it.
     let pipeline = spec
         .pipeline
-        .build(label)
+        .build(&spec.label)
         .expect("gate-level specs build a pipeline");
-    let gates = pipeline.total_gates();
-    let id = spec.id(seed);
     Ok(PreparedRun {
-        id,
-        stages,
-        gates,
+        id: spec.id(seed),
+        stages: spec.pipeline.stage_count(),
+        gates: pipeline.total_gates(),
         stage_allocation,
         pipeline,
-        spec,
+        spec: spec.clone(),
     })
 }
 
@@ -973,6 +980,7 @@ fn execute_run(
 /// The unified pipeline gives campaigns the same worker pool, `--shard`
 /// partitioning and checkpoint/resume as sweeps.
 impl Workload for OptimizationCampaign {
+    type Spec = OptimizeSpec;
     type Unit = PreparedRun;
     type StepOut = OptimizationRunResult;
     type Acc = Option<OptimizationRunResult>;
@@ -993,20 +1001,27 @@ impl Workload for OptimizationCampaign {
         "run"
     }
 
-    fn prepare(&self) -> Result<Vec<PreparedRun>, EngineError> {
-        self.expand()
-            .into_iter()
-            .map(|s| prepare_run(s, self.seed))
-            .collect()
+    fn expand_units(&self) -> Result<Vec<OptimizeSpec>, EngineError> {
+        let runs = self.expand();
+        runs.iter().try_for_each(|r| validate_run(r).map(drop))?;
+        Ok(runs)
     }
 
-    fn unit_key(&self, unit: &PreparedRun) -> u64 {
+    fn spec_key(&self, spec: &OptimizeSpec) -> u64 {
         // NOT the run ID: the ID deliberately excludes `kernel` (so
         // both kernels derive identical trial seeds), but the journal
         // key must distinguish two kernel twins because their result
         // bytes differ. Hash the full spec, like a sweep's unit key.
-        let json = serde_json::to_string(&unit.spec).expect("prepared runs are finite");
+        let json = serde_json::to_string(spec).expect("validated runs are finite");
         fnv1a64(json.as_bytes()) ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    fn unit_spec<'a>(&self, unit: &'a PreparedRun) -> &'a OptimizeSpec {
+        &unit.spec
+    }
+
+    fn prepare_unit(&self, spec: &OptimizeSpec) -> Result<PreparedRun, EngineError> {
+        prepare_run(spec, self.seed)
     }
 
     fn unit_steps(&self, _unit: &PreparedRun) -> usize {
@@ -1177,7 +1192,7 @@ mod tests {
         let reject = |mutate: &dyn Fn(&mut OptimizeSpec), needle: &str| {
             let mut s = base.clone();
             mutate(&mut s);
-            let err = prepare_run(s, 1).unwrap_err();
+            let err = prepare_run(&s, 1).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         };
         reject(
@@ -1211,14 +1226,14 @@ mod tests {
     #[test]
     fn prepare_measures_footprint_and_allocation() {
         let mut spec = OptimizationCampaign::example().runs[0].clone();
-        let p = prepare_run(spec.clone(), 7).unwrap();
+        let p = prepare_run(&spec, 7).unwrap();
         assert_eq!(p.stages, 4);
         assert_eq!(p.gates, 10 + 8 + 7 + 6);
         assert!((p.stage_allocation.powi(4) - 0.80).abs() < 1e-12);
         // Absolute targets route through the design space (and its
         // validation).
         spec.target_delay = TargetDelayPolicy::Absolute { ps: 500.0 };
-        let p = prepare_run(spec, 7).unwrap();
+        let p = prepare_run(&spec, 7).unwrap();
         assert!((p.stage_allocation.powi(4) - 0.80).abs() < 1e-12);
     }
 
@@ -1243,8 +1258,8 @@ mod tests {
         assert_eq!(c.runs[0].id(c.seed), plain.id(c.seed));
         // … but twins get distinct journal/cache keys, because their
         // result bytes legitimately differ.
-        let a = prepare_run(c.runs[0].clone(), c.seed).unwrap();
-        let b = prepare_run(plain, c.seed).unwrap();
+        let a = prepare_run(&c.runs[0], c.seed).unwrap();
+        let b = prepare_run(&plain, c.seed).unwrap();
         assert_eq!(a.id, b.id);
         assert_ne!(c.unit_key(&a), c.unit_key(&b));
     }
@@ -1255,7 +1270,7 @@ mod tests {
         let reject = |mutate: &dyn Fn(&mut OptimizeSpec), needle: &str| {
             let mut s = base.clone();
             mutate(&mut s);
-            let err = prepare_run(s, 1).unwrap_err();
+            let err = prepare_run(&s, 1).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         };
         // The example runs use random-only variation: no inter-die or

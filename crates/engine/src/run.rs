@@ -33,7 +33,9 @@ use crate::result::{
 };
 use crate::seed::fnv1a64;
 use crate::sim::{MvnSim, Simulator};
-use crate::spec::{BackendSpec, PipelineSpec, Scenario, StrategySpec, Sweep, VariationSpec};
+use crate::spec::{
+    BackendSpec, PipelineSpec, Scenario, StageMoments, StrategySpec, Sweep, VariationSpec,
+};
 use crate::workload::{run_workload, StepContext, Workload, WorkloadOptions};
 
 /// Sweep execution error: an invalid scenario spec.
@@ -75,6 +77,11 @@ pub const BLOCK_TRIALS: u64 = 256;
 /// (~400k work items) is orders of magnitude beyond the paper's
 /// budgets while keeping scheduling state negligible.
 pub const MAX_TRIALS: u64 = 100_000_000;
+
+/// Cap on the magnitude of a scenario's `auto_target_sigmas` — far past
+/// any yield a Gaussian tail can resolve, and small enough that
+/// `mean + k·sd` stays finite for every bounded delay model.
+pub const MAX_TARGET_SIGMAS: f64 = 1_000.0;
 
 /// Cap on a scenario's `histogram_bins` — enough for any plot while
 /// keeping block messages small.
@@ -201,7 +208,7 @@ pub(crate) fn dispatch<T: Send>(
 
 /// A scenario with everything resolved and built, ready to execute —
 /// the sweep's [`Workload`] unit. Construction is crate-internal
-/// (through [`Workload::prepare`]).
+/// (through [`Workload::prepare_unit`]).
 pub struct Prepared {
     pub(crate) scenario: Scenario,
     pub(crate) id: u64,
@@ -221,11 +228,17 @@ pub struct Prepared {
     pub(crate) sim: Option<Box<dyn Simulator>>,
 }
 
-pub(crate) fn prepare(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, EngineError> {
+/// Runs every check a scenario must pass before [`prepare`] may build
+/// it — the sweep's half of [`Workload::expand_units`]. Builds no
+/// netlist; the moment-form model is built (and dropped), since it costs
+/// microseconds and is the only way to check the moments are samplable.
+pub(crate) fn validate(scenario: &Scenario) -> Result<(), EngineError> {
     let label = &scenario.label;
     // Validate before touching generators/process models (they assert on
     // out-of-domain values, and user JSON must fail softly) and before
     // hashing the scenario ID (serialization rejects non-finite floats).
+    // Magnitudes are bounded too: a finite but huge target multiple
+    // would overflow `mean + k·sd` into a result that cannot serialize.
     scenario
         .pipeline
         .validate()
@@ -242,6 +255,16 @@ pub(crate) fn prepare(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, E
     {
         return Err(EngineError::new(format!(
             "scenario '{label}': yield targets must be finite"
+        )));
+    }
+    if let Some(k) = scenario
+        .auto_target_sigmas
+        .iter()
+        .find(|k| k.abs() > MAX_TARGET_SIGMAS)
+    {
+        return Err(EngineError::new(format!(
+            "scenario '{label}': auto target sigma {k:?} is outside \
+             [-{MAX_TARGET_SIGMAS}, {MAX_TARGET_SIGMAS}]"
         )));
     }
     // Moment-form stages already carry their total (μ, σ): the process
@@ -346,38 +369,62 @@ pub(crate) fn prepare(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, E
              which would misrepresent the unshifted distribution; drop histogram_bins"
         )));
     }
+    if let PipelineSpec::Moments { stages, rho } = &scenario.pipeline {
+        moment_model(label, stages, *rho, scenario.trials)?;
+    }
+    Ok(())
+}
+
+/// The moment-form model of a scenario: its analytic pipeline and, when
+/// it runs trials, the joint Gaussian stage sampler.
+fn moment_model(
+    label: &str,
+    stages: &[StageMoments],
+    rho: f64,
+    trials: u64,
+) -> Result<(Pipeline, Option<MultivariateNormal>), EngineError> {
+    let delays: Vec<StageDelay> = stages
+        .iter()
+        .map(|m| {
+            StageDelay::from_moments(m.mu_ps, m.sigma_ps)
+                .map_err(|e| EngineError::new(format!("scenario '{label}': {e}")))
+        })
+        .collect::<Result<_, _>>()?;
+    let pipe = Pipeline::equicorrelated(delays, rho)
+        .map_err(|e| EngineError::new(format!("scenario '{label}': {e}")))?;
+    let mvn = (trials > 0)
+        .then(|| {
+            let means: Vec<f64> = stages.iter().map(|m| m.mu_ps).collect();
+            let sds: Vec<f64> = stages.iter().map(|m| m.sigma_ps).collect();
+            MultivariateNormal::from_correlation(&means, &sds, pipe.correlation())
+        })
+        .transpose()
+        .map_err(|e| {
+            EngineError::new(format!(
+                "scenario '{label}': moments not Monte-Carlo-samplable: {e}"
+            ))
+        })?;
+    Ok((pipe, mvn))
+}
+
+/// Builds a scenario that passed [`validate`] into an executable unit:
+/// the netlist, its SSTA model, the resolved targets and the simulator.
+pub(crate) fn prepare(scenario: &Scenario, sweep_seed: u64) -> Result<Prepared, EngineError> {
+    let label = &scenario.label;
     let id = scenario.id(sweep_seed);
     let variation = scenario.variation.to_config();
 
     let (analytic, correlation, gates, sim) = match &scenario.pipeline {
         PipelineSpec::Moments { stages, rho } => {
-            let delays: Vec<StageDelay> = stages
-                .iter()
-                .map(|m| {
-                    StageDelay::from_moments(m.mu_ps, m.sigma_ps)
-                        .map_err(|e| EngineError::new(format!("scenario '{label}': {e}")))
-                })
-                .collect::<Result<_, _>>()?;
-            let pipe = Pipeline::equicorrelated(delays, *rho)
-                .map_err(|e| EngineError::new(format!("scenario '{label}': {e}")))?;
+            let (pipe, mvn) = moment_model(label, stages, *rho, scenario.trials)?;
             let corr = pipe.correlation().clone();
-            let sim: Option<Box<dyn Simulator>> = if scenario.trials > 0 {
-                let means: Vec<f64> = stages.iter().map(|m| m.mu_ps).collect();
-                let sds: Vec<f64> = stages.iter().map(|m| m.sigma_ps).collect();
-                let mvn =
-                    MultivariateNormal::from_correlation(&means, &sds, &corr).map_err(|e| {
-                        EngineError::new(format!(
-                            "scenario '{label}': moments not Monte-Carlo-samplable: {e}"
-                        ))
-                    })?;
-                Some(Box::new(
+            let sim = mvn.map(|mvn| -> Box<dyn Simulator> {
+                Box::new(
                     MvnSim::new(mvn)
                         .with_kernel(scenario.kernel.to_kernel())
                         .with_plan(scenario.trial_plan.to_plan()),
-                ))
-            } else {
-                None
-            };
+                )
+            });
             (pipe, corr, 0, sim)
         }
         spec => {
@@ -431,7 +478,7 @@ pub(crate) fn prepare(scenario: Scenario, sweep_seed: u64) -> Result<Prepared, E
 
     Ok(Prepared {
         stage_count: scenario.pipeline.stage_count(),
-        scenario,
+        scenario: scenario.clone(),
         id,
         targets,
         analytic,
@@ -501,6 +548,7 @@ fn run_block(p: &Prepared, ws: &mut TrialWorkspace, trials: Range<u64>) -> Pipel
 /// pipeline — worker pools, `--shard`, checkpoint/resume — applies to
 /// sweeps through this impl.
 impl Workload for Sweep {
+    type Spec = Scenario;
     type Unit = Prepared;
     type StepOut = PipelineBlockStats;
     type Acc = Option<PipelineBlockStats>;
@@ -521,21 +569,28 @@ impl Workload for Sweep {
         "scenario"
     }
 
-    fn prepare(&self) -> Result<Vec<Prepared>, EngineError> {
-        self.expand()
-            .into_iter()
-            .map(|s| prepare(s, self.seed))
-            .collect()
+    fn expand_units(&self) -> Result<Vec<Scenario>, EngineError> {
+        let scenarios = self.expand();
+        scenarios.iter().try_for_each(validate)?;
+        Ok(scenarios)
     }
 
-    fn unit_key(&self, unit: &Prepared) -> u64 {
+    fn spec_key(&self, scenario: &Scenario) -> u64 {
         // NOT the scenario ID: the ID deliberately excludes `backend`
         // and `histogram_bins` (execution strategy — flipping them
         // replays identical trial streams), but the journal key must
         // distinguish two such twins because their *result bytes*
         // differ (echoed spec, histogram field). Hash the full spec.
-        let json = serde_json::to_string(&unit.scenario).expect("prepared scenarios are finite");
+        let json = serde_json::to_string(scenario).expect("validated scenarios are finite");
         fnv1a64(json.as_bytes()) ^ self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    fn unit_spec<'a>(&self, unit: &'a Prepared) -> &'a Scenario {
+        &unit.scenario
+    }
+
+    fn prepare_unit(&self, scenario: &Scenario) -> Result<Prepared, EngineError> {
+        prepare(scenario, self.seed)
     }
 
     fn unit_steps(&self, unit: &Prepared) -> usize {
@@ -934,6 +989,38 @@ mod tests {
                 random_mv: 35.0,
                 systematic_mv: f64::NAN,
             }),
+        );
+    }
+
+    #[test]
+    fn huge_finite_magnitudes_are_rejected_not_panics() {
+        // Each is finite, so it passes a finiteness check, but squaring
+        // it (σ², Clark's second moments) or scaling it (mean + k·sd)
+        // overflows.
+        let reject = |mutate: &dyn Fn(&mut Sweep), needle: &str| {
+            let mut sweep = tiny_sweep(0);
+            mutate(&mut sweep);
+            let err = run_sweep(&sweep, &SweepOptions::sequential()).unwrap_err();
+            assert!(err.to_string().contains(needle), "{err}");
+            assert_eq!(err, crate::plan_workload(&sweep).unwrap_err());
+        };
+        let moments = |mu_ps, sigma_ps| {
+            move |s: &mut Sweep| {
+                s.scenarios[0].pipeline = PipelineSpec::Moments {
+                    stages: vec![StageMoments { mu_ps, sigma_ps }; 2],
+                    rho: 0.3,
+                }
+            }
+        };
+        reject(&moments(100.0, 1e300), "scenario 'moments': stage 0");
+        reject(&moments(-1e200, 5.0), "scenario 'moments': stage 0");
+        reject(
+            &|s| s.scenarios[1].variation = VariationSpec::RandomOnly { sigma_mv: 1e300 },
+            "scenario 'grid': variation",
+        );
+        reject(
+            &|s| s.scenarios[0].auto_target_sigmas = vec![1e308],
+            "scenario 'moments': auto target sigma",
         );
     }
 

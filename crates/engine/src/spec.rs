@@ -611,6 +611,16 @@ pub enum VariationSpec {
     },
 }
 
+/// Cap on every σVth component of a [`VariationSpec`]: 1 V, past any
+/// supply voltage the technology models. Bounding it keeps the timing
+/// model's variances and Clark terms finite.
+pub const MAX_SIGMA_MV: f64 = 1_000.0;
+
+/// Cap on the magnitude of a moment-form stage's mean and sigma: one
+/// second, in ps. Squares of bounded moments (variances, Clark's second
+/// moments, Monte-Carlo sums of squares) stay finite.
+pub const MAX_STAGE_PS: f64 = 1e12;
+
 impl VariationSpec {
     /// The process-model configuration this spec describes.
     pub fn to_config(self) -> VariationConfig {
@@ -627,18 +637,20 @@ impl VariationSpec {
     }
 
     /// Checks the spec is in-domain (the process model asserts on
-    /// negative sigmas; user-supplied JSON must fail softly instead).
+    /// negative sigmas, and sigmas past [`MAX_SIGMA_MV`] overflow the
+    /// timing model's variances; user-supplied JSON must fail softly
+    /// instead).
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending component.
     pub fn validate(self) -> Result<(), String> {
         let check = |name: &str, v: f64| {
-            if v.is_finite() && v >= 0.0 {
+            if v.is_finite() && (0.0..=MAX_SIGMA_MV).contains(&v) {
                 Ok(())
             } else {
                 Err(format!(
-                    "{name} sigma must be finite and non-negative, got {v} mV"
+                    "{name} sigma must be finite in [0, {MAX_SIGMA_MV}] mV, got {v:?} mV"
                 ))
             }
         };
@@ -794,6 +806,12 @@ impl PipelineSpec {
                     if !m.mu_ps.is_finite() || !m.sigma_ps.is_finite() || m.sigma_ps < 0.0 {
                         return Err(format!(
                             "stage {i} moments must be finite with sigma >= 0, got ({}, {})",
+                            m.mu_ps, m.sigma_ps
+                        ));
+                    }
+                    if m.mu_ps.abs() > MAX_STAGE_PS || m.sigma_ps > MAX_STAGE_PS {
+                        return Err(format!(
+                            "stage {i} moments ({:?}, {:?}) exceed the cap of {MAX_STAGE_PS:e} ps",
                             m.mu_ps, m.sigma_ps
                         ));
                     }

@@ -17,6 +17,21 @@
 //! merge-tree half of the determinism contract). When a unit's last step
 //! folds, the unit finishes into its serializable result.
 //!
+//! ## Lazy preparation
+//!
+//! Preparation has two halves. [`Workload::expand_units`] is cheap: it
+//! expands the spec into sub-specs and runs every validity check on
+//! every one of them. [`Workload::prepare_unit`] is expensive: it builds
+//! the netlist, runs SSTA and sets up the simulator — for a closed-form
+//! unit, that build *is* the computation. [`run_units`] therefore works
+//! in the order expand → key → decide → prepare: it keys each sub-spec,
+//! decides between resume journal, cache, another shard and execution,
+//! and only then prepares the units it will execute, on the worker pool.
+//! A warm-cache run, a full resume or a small shard builds (almost)
+//! nothing. Validation still covers every unit, and any error is
+//! returned before the first unit sinks, exactly as if everything had
+//! been prepared up front.
+//!
 //! ## Sharding, checkpointing, resume
 //!
 //! Because every unit result is a pure function of `(spec, seed)` — via
@@ -24,7 +39,7 @@
 //! production features fall out of the one pipeline **byte-exactly**:
 //!
 //! * **Sharding** ([`Shard`]): shard `i/n` owns exactly the units whose
-//!   journal key ([`Workload::unit_key`], a content hash of the unit's
+//!   journal key ([`Workload::spec_key`], a content hash of the unit's
 //!   full sub-spec) satisfies `key % n == i - 1`. The partition depends
 //!   only on the spec, so disjoint machines can run disjoint shards and
 //!   the merged union of their outputs is bitwise identical to a single
@@ -54,6 +69,9 @@ use crate::run::{dispatch, EngineError};
 /// must be a pure function of the spec (`self`) and its arguments, so
 /// scheduling, sharding and resume can never leak into results.
 pub trait Workload: Sync {
+    /// One validated sub-spec — what a unit is prepared from, and what
+    /// its journal key hashes.
+    type Spec: Send + Sync;
     /// A prepared, validated unit of work (shared read-only with the
     /// worker pool).
     type Unit: Send + Sync;
@@ -80,15 +98,17 @@ pub trait Workload: Sync {
     /// `"run"`).
     fn unit_noun(&self) -> &'static str;
 
-    /// Expands and validates the spec into executable units, in
-    /// expansion order.
+    /// Expands the spec into sub-specs, in expansion order, running
+    /// **every** spec check on **every** sub-spec — a sub-spec that
+    /// passes here must prepare. Cheap: builds no netlist and runs no
+    /// timing analysis.
     ///
     /// # Errors
     ///
     /// Returns an [`EngineError`] naming the first invalid unit.
-    fn prepare(&self) -> Result<Vec<Self::Unit>, EngineError>;
-    /// The unit's stable content hash over its **full** sub-spec — the
-    /// shard partition and checkpoint key.
+    fn expand_units(&self) -> Result<Vec<Self::Spec>, EngineError>;
+    /// The sub-spec's stable content hash over its **full** contents —
+    /// the shard partition and checkpoint key.
     ///
     /// This may be broader than the unit's RNG identity: a sweep
     /// scenario's ID deliberately excludes execution-strategy fields
@@ -97,7 +117,34 @@ pub trait Workload: Sync {
     /// *result bytes* (the spec is echoed in the result). The journal
     /// key must distinguish any two units whose results could differ,
     /// so it hashes everything.
-    fn unit_key(&self, unit: &Self::Unit) -> u64;
+    fn spec_key(&self, spec: &Self::Spec) -> u64;
+    /// The sub-spec a prepared unit was built from.
+    fn unit_spec<'a>(&self, unit: &'a Self::Unit) -> &'a Self::Spec;
+    /// Builds one validated sub-spec into an executable unit (netlist,
+    /// timing analysis, targets, simulator) — the expensive half of
+    /// preparation, run only for units a run will execute.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`EngineError`] naming the unit.
+    fn prepare_unit(&self, spec: &Self::Spec) -> Result<Self::Unit, EngineError>;
+
+    /// Expands, validates and prepares every unit, in expansion order
+    /// (serially; [`prepare_units`] is the pooled form).
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`EngineError`] naming the first invalid unit.
+    fn prepare(&self) -> Result<Vec<Self::Unit>, EngineError> {
+        self.expand_units()?
+            .iter()
+            .map(|spec| self.prepare_unit(spec))
+            .collect()
+    }
+    /// The unit's journal key: [`Workload::spec_key`] of its sub-spec.
+    fn unit_key(&self, unit: &Self::Unit) -> u64 {
+        self.spec_key(self.unit_spec(unit))
+    }
     /// How many scheduling steps the unit expands into (0 finishes the
     /// unit from its empty accumulator, running nothing).
     fn unit_steps(&self, unit: &Self::Unit) -> usize;
@@ -151,7 +198,7 @@ pub trait WorkloadPlan {
 /// One shard of a deterministically partitioned workload.
 ///
 /// Shard `i/n` (1-based in user syntax) owns exactly the units whose
-/// journal key ([`Workload::unit_key`]) satisfies `key % n == i - 1`.
+/// journal key ([`Workload::spec_key`]) satisfies `key % n == i - 1`.
 /// The rule uses only the spec-derived key, so every shard computes the
 /// same partition independently, and the union of all shards is exactly
 /// the unsharded unit set.
@@ -503,108 +550,219 @@ struct Folding<A, S> {
     pending: BTreeMap<usize, S>,
 }
 
+/// Where [`run_units`] takes a unit's result from, decided before
+/// anything is prepared or sunk.
+enum Source<'a, R> {
+    /// Spliced from the resume journal.
+    Journal(&'a R),
+    /// Spliced from the persistent result cache.
+    Cache(R),
+    /// Prepared and executed by this run.
+    Execute,
+}
+
+/// A unit prepared on the pool: either still to step, or — a zero-step
+/// unit — already finished, its prepared form dropped in the worker.
+enum Built<U, R> {
+    Steps(U),
+    Done(R),
+}
+
+/// Runs `build` for every index in `0..n` on the worker pool and returns
+/// the outputs in index order, or the failure with the lowest index.
+///
+/// A failure cancels the pool. That still finds the lowest failing
+/// index: the pool's cursor hands indices out in order, so every index
+/// below a failed one was claimed first, and claimed items always
+/// finish.
+fn build_on_pool<T: Send>(
+    n: usize,
+    workers: usize,
+    build: impl Fn(usize) -> Result<T, EngineError> + Sync,
+) -> Result<Vec<T>, EngineError> {
+    let mut slots: Vec<Option<Result<T, EngineError>>> =
+        std::iter::repeat_with(|| None).take(n).collect();
+    dispatch(
+        n,
+        workers,
+        |k, _ws| build(k),
+        |k, built| {
+            let ok = built.is_ok();
+            slots[k] = Some(built);
+            ok
+        },
+    );
+    // `collect` stops at the first failure, before any unfilled slot.
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every slot before the first failure is filled"))
+        .collect()
+}
+
+/// Expands, validates and prepares every unit on `workers` pool threads,
+/// in expansion order — [`Workload::prepare`] on the pool, each unit
+/// under a `unit/prepare` span.
+///
+/// # Errors
+///
+/// Returns the error of the first invalid unit in expansion order.
+pub fn prepare_units<W: Workload>(w: &W, workers: usize) -> Result<Vec<W::Unit>, EngineError> {
+    let specs = w.expand_units()?;
+    build_on_pool(specs.len(), workers, |i| {
+        let _sp = vardelay_obs::span("unit", "prepare");
+        w.prepare_unit(&specs[i])
+    })
+}
+
 /// The unified execution pipeline: expands a workload into units,
-/// applies shard selection and resume splicing, schedules the remaining
-/// steps over the shared worker pool, folds step outputs in order, and
-/// hands every completed unit — resumed or executed — to `sink` exactly
-/// once.
+/// applies shard selection, resume and cache splicing, prepares and
+/// schedules the rest over the shared worker pool, folds step outputs
+/// in order, and hands every completed unit — spliced or executed — to
+/// `sink` exactly once.
+///
+/// The stages run in a fixed order:
+///
+/// 1. **Expand** ([`Workload::expand_units`]): every sub-spec is
+///    validated, including units another shard owns or a cache serves,
+///    so whether a spec is accepted never depends on how it is run.
+/// 2. **Key** each sub-spec ([`Workload::spec_key`]) and keep the ones
+///    the shard owns.
+/// 3. **Decide** each unit in strict precedence order — resume journal,
+///    then cache, then execution — so a unit present in both journal
+///    and cache is spliced exactly once, from the journal.
+/// 4. **Prepare** ([`Workload::prepare_unit`]) only the units to
+///    execute, on the pool, each under a `unit/prepare` span. A
+///    zero-step unit finishes inside the same pool item.
+/// 5. If any preparation failed, return the first failure in expansion
+///    order. Nothing has sunk yet.
+/// 6. **Sink** spliced and zero-step units in expansion order.
+/// 7. **Dispatch** the remaining units' steps; each executed unit sinks
+///    when its last step folds, in completion order.
 ///
 /// `sink(slot, unit_key, result, origin)` is called on the calling
-/// thread; `slot` is the unit's index in (sharded) expansion order.
-/// Spliced ([`UnitOrigin::Journal`] / [`UnitOrigin::Cache`]) and
-/// zero-step units sink before any parallel step runs; executed units
-/// sink in completion order. A sink error cancels the pool — workers
-/// stop claiming new steps, steps already executing finish and are
-/// folded but no further unit sinks — and the error is returned once
-/// the pool drains.
-///
-/// With a cache attached ([`WorkloadOptions::cache`]), units are
-/// resolved in strict precedence order — resume journal, then cache,
-/// then execution — so a unit present in both journal and cache sinks
-/// exactly once, from the journal. Every *executed* unit is recorded
-/// back into the cache before it sinks; spliced units are not
-/// re-recorded.
+/// thread; `slot` is the unit's index in (sharded) expansion order. A
+/// sink error cancels the pool — workers stop claiming new steps, steps
+/// already executing finish and are folded but no further unit sinks —
+/// and the error is returned once the pool drains. Every *executed*
+/// unit is recorded into the cache ([`WorkloadOptions::cache`]) before
+/// it sinks; spliced units are not re-recorded.
 ///
 /// This function retains **no** unit results — callers stream them out
 /// (checkpoint files, `--out` JSONL) or collect them ([`run_workload`]).
 ///
 /// # Errors
 ///
-/// Returns the first preparation ([`Workload::prepare`]) or sink error.
+/// Returns the first validation, cache lookup or preparation error
+/// (before any unit sinks), or the first cache-record or sink error.
 pub fn run_units<W: Workload>(
     w: &W,
     opts: &WorkloadOptions<'_, W::UnitResult>,
     mut sink: impl FnMut(usize, u64, W::UnitResult, UnitOrigin) -> Result<(), EngineError>,
 ) -> Result<WorkloadStats, EngineError> {
-    let mut units = w.prepare()?;
+    let mut specs: Vec<(W::Spec, u64)> = w
+        .expand_units()?
+        .into_iter()
+        .map(|spec| {
+            let key = w.spec_key(&spec);
+            (spec, key)
+        })
+        .collect();
     if let Some(shard) = opts.shard {
-        units.retain(|u| shard.owns(w.unit_key(u)));
+        specs.retain(|&(_, key)| shard.owns(key));
     }
-    let keys: Vec<u64> = units.iter().map(|u| w.unit_key(u)).collect();
+    let keys: Vec<u64> = specs.iter().map(|&(_, key)| key).collect();
+
+    let mut sources = Vec::with_capacity(keys.len());
+    for &key in &keys {
+        let source = if let Some(result) = opts.resume.and_then(|c| c.get(key)) {
+            Source::Journal(result)
+        } else if let Some(result) = opts.cache.map(|c| c.fetch(key)).transpose()?.flatten() {
+            Source::Cache(result)
+        } else {
+            Source::Execute
+        };
+        sources.push(source);
+    }
+
+    let to_prepare: Vec<usize> = (0..keys.len())
+        .filter(|&i| matches!(sources[i], Source::Execute))
+        .collect();
+    let built = build_on_pool(to_prepare.len(), opts.workers, |j| {
+        let (spec, key) = &specs[to_prepare[j]];
+        let unit = {
+            let _sp = vardelay_obs::span("unit", "prepare").key(*key);
+            w.prepare_unit(spec)?
+        };
+        Ok(if w.unit_steps(&unit) == 0 {
+            let _finish = vardelay_obs::span("unit", "finish").key(*key);
+            Built::Done(w.finish_unit(&unit, w.init_acc(&unit)))
+        } else {
+            Built::Steps(unit)
+        })
+    })?;
+    drop(specs);
+
     let mut stats = WorkloadStats {
-        units: units.len(),
+        units: keys.len(),
         resumed: 0,
         cached: 0,
-        executed: 0,
+        executed: to_prepare.len(),
         steps: 0,
         keys,
     };
-
-    // Resolve what runs: resumed units splice their stored result,
-    // zero-step units finish from their empty accumulator, everything
-    // else schedules its steps on the pool.
     struct Item {
         unit: usize,
         step: usize,
         trials: u64,
     }
     let mut items: Vec<Item> = Vec::new();
-    let mut foldings: Vec<Option<Folding<W::Acc, W::StepOut>>> = Vec::with_capacity(units.len());
+    let mut units: Vec<Option<W::Unit>> =
+        std::iter::repeat_with(|| None).take(stats.units).collect();
+    let mut foldings: Vec<Option<Folding<W::Acc, W::StepOut>>> =
+        std::iter::repeat_with(|| None).take(stats.units).collect();
     let mut units_done = 0usize;
-    for (i, u) in units.iter().enumerate() {
+    let mut built = built.into_iter();
+    for (i, source) in sources.into_iter().enumerate() {
         let key = stats.keys[i];
-        if let Some(result) = opts.resume.and_then(|c| c.get(key)) {
-            stats.resumed += 1;
-            units_done += 1;
-            vardelay_obs::instant("unit", "resumed", Some(key));
-            foldings.push(None);
-            sink(i, key, result.clone(), UnitOrigin::Journal)?;
-            continue;
-        }
-        // The cache is consulted only for units the journal lacks, so
-        // `--resume` + `--cache` can never splice a unit twice.
-        if let Some(result) = opts.cache.map(|c| c.fetch(key)).transpose()?.flatten() {
-            stats.cached += 1;
-            units_done += 1;
-            vardelay_obs::instant("unit", "cached", Some(key));
-            foldings.push(None);
-            sink(i, key, result, UnitOrigin::Cache)?;
-            continue;
-        }
-        stats.executed += 1;
-        let total = w.unit_steps(u);
-        if total == 0 {
-            units_done += 1;
-            foldings.push(None);
-            let result = w.finish_unit(u, w.init_acc(u));
-            if let Some(cache) = opts.cache {
-                cache.store(key, &result)?;
+        let (result, origin) = match source {
+            Source::Journal(result) => {
+                stats.resumed += 1;
+                vardelay_obs::instant("unit", "resumed", Some(key));
+                (result.clone(), UnitOrigin::Journal)
             }
-            sink(i, key, result, UnitOrigin::Executed)?;
-            continue;
-        }
-        stats.steps += total;
-        items.extend((0..total).map(|step| Item {
-            unit: i,
-            step,
-            trials: w.step_trials(u, step),
-        }));
-        foldings.push(Some(Folding {
-            acc: w.init_acc(u),
-            next: 0,
-            total,
-            pending: BTreeMap::new(),
-        }));
+            Source::Cache(result) => {
+                stats.cached += 1;
+                vardelay_obs::instant("unit", "cached", Some(key));
+                (result, UnitOrigin::Cache)
+            }
+            Source::Execute => match built.next().expect("one built unit per executed unit") {
+                Built::Done(result) => {
+                    if let Some(cache) = opts.cache {
+                        cache.store(key, &result)?;
+                    }
+                    (result, UnitOrigin::Executed)
+                }
+                Built::Steps(unit) => {
+                    let total = w.unit_steps(&unit);
+                    stats.steps += total;
+                    items.extend((0..total).map(|step| Item {
+                        unit: i,
+                        step,
+                        trials: w.step_trials(&unit, step),
+                    }));
+                    foldings[i] = Some(Folding {
+                        acc: w.init_acc(&unit),
+                        next: 0,
+                        total,
+                        pending: BTreeMap::new(),
+                    });
+                    units[i] = Some(unit);
+                    continue;
+                }
+            },
+        };
+        units_done += 1;
+        sink(i, key, result, origin)?;
     }
 
     let trials_total: u64 = items.iter().map(|it| it.trials).sum();
@@ -628,6 +786,7 @@ pub fn run_units<W: Workload>(
     let ctx = StepContext {
         workers: opts.workers,
     };
+    let unit = |i: usize| units[i].as_ref().expect("scheduled units are prepared");
     dispatch(
         items.len(),
         opts.workers,
@@ -636,7 +795,7 @@ pub fn run_units<W: Workload>(
             let _sp = vardelay_obs::span("step", w.unit_noun())
                 .key(stats.keys[item.unit])
                 .value(item.step as f64);
-            w.run_step(&units[item.unit], item.step, ws, ctx)
+            w.run_step(unit(item.unit), item.step, ws, ctx)
         },
         |k, out| {
             let item = &items[k];
@@ -645,7 +804,7 @@ pub fn run_units<W: Workload>(
             {
                 let _fold = vardelay_obs::span("pool", "fold");
                 while let Some(out) = f.pending.remove(&f.next) {
-                    w.fold_step(&units[item.unit], &mut f.acc, out);
+                    w.fold_step(unit(item.unit), &mut f.acc, out);
                     f.next += 1;
                 }
             }
@@ -657,7 +816,7 @@ pub fn run_units<W: Workload>(
                 let key = stats.keys[item.unit];
                 let result = {
                     let _finish = vardelay_obs::span("unit", "finish").key(key);
-                    w.finish_unit(&units[item.unit], f.acc)
+                    w.finish_unit(unit(item.unit), f.acc)
                 };
                 units_done += 1;
                 if sink_err.is_none() {
@@ -714,18 +873,23 @@ pub fn run_workload<W: Workload>(
     ))
 }
 
+/// The footprint plan of already prepared units, in their order.
+pub fn plan_units<W: Workload>(w: &W, units: &[W::Unit]) -> W::Plan {
+    w.assemble_plan(units.iter().map(|u| w.plan_unit(u)).collect())
+}
+
 /// Validates a workload end to end and reports its footprint, running
 /// nothing — the engine half of `sweep validate` / `optimize validate`,
-/// shared by both spellings.
+/// shared by both spellings. Units are prepared on a pool of one worker
+/// per available core.
 ///
 /// # Errors
 ///
 /// Returns the same [`EngineError`] a real run would return for the
 /// first invalid unit.
 pub fn plan_workload<W: Workload>(w: &W) -> Result<W::Plan, EngineError> {
-    let units = w.prepare()?;
-    let rows = units.iter().map(|u| w.plan_unit(u)).collect();
-    Ok(w.assemble_plan(rows))
+    let units = prepare_units(w, crate::run::SweepOptions::default().workers)?;
+    Ok(plan_units(w, &units))
 }
 
 #[cfg(test)]

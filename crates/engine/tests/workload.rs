@@ -5,13 +5,18 @@
 //! These are the acceptance tests of the production contract: because
 //! every unit result is a pure function of `(spec, seed)`, sharding and
 //! resume may change *which* process computes a unit, never its bytes.
+//! They also pin lazy preparation: a run builds exactly the units it
+//! executes, yet validates every unit.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Mutex;
 
 use vardelay_engine::optimize::OptimizationCampaign;
 use vardelay_engine::workload::{
-    checkpoint_line, run_units, run_workload, Checkpoint, Shard, Workload, WorkloadOptions,
-    WorkloadReport, WorkloadStats,
+    checkpoint_line, run_units, run_workload, Checkpoint, ResultCache, Shard, Workload,
+    WorkloadOptions, WorkloadReport, WorkloadStats,
 };
-use vardelay_engine::Sweep;
+use vardelay_engine::{EngineError, PipelineSpec, Sweep, VariationSpec};
 
 /// A small sweep that still exercises multi-block scenarios and a
 /// zero-step (analytic-only) unit.
@@ -80,7 +85,7 @@ where
     let unsharded = run_workload(w, &WorkloadOptions::sequential().with_workers(2))
         .expect("unsharded run")
         .to_json();
-    let total_units = w.prepare().expect("spec is valid").len();
+    let total_units = w.expand_units().expect("spec is valid").len();
 
     for n in [2u64, 3] {
         let mut merged_lines = String::new();
@@ -254,4 +259,186 @@ fn validate_spellings_share_one_plan_implementation() {
     let a = vardelay_engine::plan_campaign(&campaign).unwrap();
     let b = vardelay_engine::plan_workload(&campaign).unwrap();
     assert_eq!(a, b);
+}
+
+/// An in-memory result cache.
+struct MemCache<R>(Mutex<HashMap<u64, R>>);
+
+impl<R> MemCache<R> {
+    fn new() -> Self {
+        MemCache(Mutex::new(HashMap::new()))
+    }
+}
+
+impl<R: Clone> ResultCache<R> for MemCache<R> {
+    fn fetch(&self, key: u64) -> Result<Option<R>, EngineError> {
+        Ok(self.0.lock().unwrap().get(&key).cloned())
+    }
+
+    fn store(&self, key: u64, result: &R) -> Result<(), EngineError> {
+        self.0.lock().unwrap().insert(key, result.clone());
+        Ok(())
+    }
+}
+
+/// Runs `w` like [`journal`] inside a recording session and also
+/// returns how many of `w`'s own units were prepared.
+///
+/// Other tests in this binary record into the same process-global
+/// session while it is open, so spans are counted by key, not from the
+/// aggregate: only `unit/prepare` spans keyed by one of `w`'s units
+/// count. The specs below use seeds no other test uses, so their keys
+/// are theirs alone.
+fn journal_counting_prepares<W: Workload>(
+    w: &W,
+    opts: &WorkloadOptions<'_, W::UnitResult>,
+) -> (String, WorkloadStats, usize) {
+    let own: HashSet<u64> = w
+        .expand_units()
+        .expect("spec is valid")
+        .iter()
+        .map(|s| w.spec_key(s))
+        .collect();
+    let session = vardelay_obs::Session::start();
+    let (lines, stats) = journal(w, opts);
+    let rec = session.finish();
+    let prepared = rec
+        .events
+        .iter()
+        .filter(|e| e.cat == "unit" && e.name == "prepare")
+        .filter(|e| e.key.is_some_and(|k| own.contains(&k)))
+        .count();
+    (lines, stats, prepared)
+}
+
+/// Cold, fully warm, fully resumed and every `--shard i/3` run prepare
+/// exactly the units they execute — none when everything is spliced.
+fn assert_prepares_only_executed_units<W: Workload>(w: &W) {
+    let cache = MemCache::new();
+    let opts = || WorkloadOptions::sequential().with_workers(2);
+    let (lines, cold, prepared) = journal_counting_prepares(w, &opts().with_cache(&cache));
+    assert_eq!(cold.executed, cold.units, "cold run executes everything");
+    assert_eq!(prepared, cold.executed, "cold run");
+
+    let (_, warm, prepared) = journal_counting_prepares(w, &opts().with_cache(&cache));
+    assert_eq!((warm.cached, warm.executed), (warm.units, 0), "fully warm");
+    assert_eq!(prepared, 0, "a fully warm run builds nothing");
+
+    let ckpt: Checkpoint<W::UnitResult> = Checkpoint::parse(&lines).unwrap();
+    let (_, resumed, prepared) = journal_counting_prepares(w, &opts().with_resume(&ckpt));
+    assert_eq!((resumed.resumed, resumed.executed), (resumed.units, 0));
+    assert_eq!(prepared, 0, "a full resume builds nothing");
+
+    let mut executed = 0;
+    for i in 1..=3 {
+        let shard = opts().with_shard(Shard::new(i, 3).unwrap());
+        let (_, stats, prepared) = journal_counting_prepares(w, &shard);
+        assert_eq!(prepared, stats.executed, "shard {i}/3");
+        executed += stats.executed;
+    }
+    assert_eq!(executed, cold.units, "the shards execute every unit once");
+}
+
+#[test]
+fn sweep_prepares_only_executed_units() {
+    let mut sweep = small_sweep();
+    sweep.seed = 0x5EED_1A27_0001;
+    assert_prepares_only_executed_units(&sweep);
+}
+
+#[test]
+fn campaign_prepares_only_executed_units() {
+    let mut campaign = small_campaign();
+    campaign.seed = 0x5EED_1A27_0002;
+    assert_prepares_only_executed_units(&campaign);
+}
+
+/// Validation covers every unit, not just the ones a run executes: an
+/// invalid unit that another shard owns, or whose key a fully warm cache
+/// holds, is still rejected — with the same message as a cold run.
+#[test]
+fn invalid_units_are_rejected_however_the_run_is_split() {
+    let expected = "scenario 'bad': Moments pipelines encode variation in their stage \
+                    sigmas; set variation to Nominal";
+    let mut sweep = small_sweep();
+    let mut bad = sweep.scenarios[0].clone();
+    assert!(matches!(bad.pipeline, PipelineSpec::Moments { .. }));
+    bad.label = "bad".to_owned();
+    bad.variation = VariationSpec::RandomOnly { sigma_mv: 35.0 };
+    let bad_key = sweep.spec_key(&bad);
+    sweep.scenarios.push(bad);
+    let rejects = |opts: &WorkloadOptions<'_, _>, what: &str| {
+        let err = run_units(&sweep, opts, |_, _, _, _| {
+            panic!("{what}: nothing may sink from an invalid spec")
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), expected, "{what}");
+    };
+    rejects(&WorkloadOptions::sequential(), "cold");
+    let err = vardelay_engine::plan_workload(&sweep).unwrap_err();
+    assert_eq!(err.to_string(), expected, "validate");
+
+    for i in 1..=3 {
+        let shard = Shard::new(i, 3).unwrap();
+        if !shard.owns(bad_key) {
+            rejects(
+                &WorkloadOptions::sequential().with_shard(shard),
+                "foreign shard",
+            );
+        }
+    }
+
+    // A cache holding a result under every key — the invalid unit's
+    // included — must not let the invalid unit through.
+    let cache = MemCache::new();
+    let mut valid = sweep.clone();
+    valid.scenarios.pop();
+    let any = run_workload(&valid, &WorkloadOptions::sequential().with_cache(&cache))
+        .unwrap()
+        .scenarios
+        .remove(0);
+    cache.store(bad_key, &any).unwrap();
+    rejects(
+        &WorkloadOptions::sequential()
+            .with_workers(2)
+            .with_cache(&cache),
+        "fully warm cache",
+    );
+}
+
+/// Cold, warm, resumed and shard-merged reports are byte-identical at 1,
+/// 2 and 3 workers, and so are `--workers 1` journals.
+#[test]
+fn lazy_runs_are_byte_identical_at_any_worker_count() {
+    let sweep = small_sweep();
+    let reference = run_workload(&sweep, &WorkloadOptions::sequential())
+        .unwrap()
+        .to_json();
+    let (reference_journal, _) = journal(&sweep, &WorkloadOptions::sequential());
+    for workers in [1usize, 2, 3] {
+        let opts = || WorkloadOptions::sequential().with_workers(workers);
+        let cache = MemCache::new();
+        let (lines, _) = journal(&sweep, &opts().with_cache(&cache));
+        if workers == 1 {
+            assert_eq!(lines, reference_journal, "journal line order");
+        }
+        let ckpt: Checkpoint<<Sweep as Workload>::UnitResult> = Checkpoint::parse(&lines).unwrap();
+        let mut shard_lines = String::new();
+        for i in 1..=3 {
+            let (part, _) = journal(&sweep, &opts().with_shard(Shard::new(i, 3).unwrap()));
+            shard_lines.push_str(&part);
+        }
+        let shards: Checkpoint<<Sweep as Workload>::UnitResult> =
+            Checkpoint::parse(&shard_lines).unwrap();
+        let runs = [
+            ("cold", opts()),
+            ("warm", opts().with_cache(&cache)),
+            ("resume", opts().with_resume(&ckpt)),
+            ("shard union", opts().with_resume(&shards)),
+        ];
+        for (what, run_opts) in runs {
+            let json = run_workload(&sweep, &run_opts).unwrap().to_json();
+            assert_eq!(json, reference, "{what} at {workers} workers");
+        }
+    }
 }

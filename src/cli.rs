@@ -38,8 +38,8 @@ use vardelay_circuit::generators::{inverter_chain, iscas};
 use vardelay_circuit::{parse_bench, write_bench, CellLibrary, Netlist};
 use vardelay_core::{Pipeline, StageDelay};
 use vardelay_engine::{
-    checkpoint_line, plan_workload, run_units, Checkpoint, EngineError, KernelSpec, Shard,
-    Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
+    checkpoint_line, plan_units, prepare_units, run_units, Checkpoint, EngineError, KernelSpec,
+    Shard, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
 };
 use vardelay_process::VariationConfig;
 use vardelay_ssta::SstaEngine;
@@ -816,8 +816,11 @@ where
     W: Workload,
     W::Plan: WorkloadPlan,
 {
-    let plan = plan_workload(w).map_err(|e| CliError(format!("invalid {kind} spec: {e}")))?;
-    let mut out = plan.render();
+    // One pooled preparation serves both the plan and the cache
+    // breakdown below.
+    let units = prepare_units(w, vardelay_engine::SweepOptions::default().workers)
+        .map_err(|e| CliError(format!("invalid {kind} spec: {e}")))?;
+    let mut out = plan_units(w, &units).render();
     if let Some(dir) = cache_dir {
         // A missing cache dir is simply cold, not an error: validate
         // must never create state.
@@ -827,9 +830,6 @@ where
             .then(|| ResultStore::open_read_only(path))
             .transpose()
             .map_err(|e| CliError(format!("cannot open cache: {e}")))?;
-        let units = w
-            .prepare()
-            .map_err(|e| CliError(format!("invalid {kind} spec: {e}")))?;
         let est_trials =
             |u: &W::Unit| -> u64 { (0..w.unit_steps(u)).map(|s| w.step_trials(u, s)).sum() };
         let mut cached = 0usize;
@@ -1970,6 +1970,38 @@ mod tests {
     fn generate_rejects_unknown() {
         assert!(generate("c9999").is_err());
         assert!(generate("chain:0").is_err());
+    }
+
+    #[test]
+    fn huge_magnitudes_and_deep_nesting_are_typed_errors() {
+        // Both used to escape as panics (a Clark `expect`, a parser stack
+        // overflow) instead of `error:` lines with exit status 1.
+        let mut sweep = vardelay_engine::Sweep::example();
+        sweep.grid = None;
+        sweep.scenarios.truncate(1);
+        sweep.scenarios[0].label = "huge".to_owned();
+        let vardelay_engine::PipelineSpec::Moments { stages, .. } =
+            &mut sweep.scenarios[0].pipeline
+        else {
+            panic!("the example's first scenario is moment-form");
+        };
+        stages[0].sigma_ps = 1e300;
+        let spec = sweep.to_json();
+        for err in [
+            sweep_validate_cmd(&spec, vec![]).unwrap_err(),
+            sweep_cmd(&spec, vec![]).unwrap_err(),
+        ] {
+            assert!(err.0.contains("scenario 'huge'"), "{err}");
+        }
+
+        let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+        for err in [
+            sweep_validate_cmd(&deep, vec![]).unwrap_err(),
+            sweep_cmd(&deep, vec![]).unwrap_err(),
+            optimize_validate_cmd(&deep, vec![]).unwrap_err(),
+        ] {
+            assert!(err.0.contains("nesting deeper"), "{err}");
+        }
     }
 
     #[test]
