@@ -132,17 +132,16 @@ impl StagedPipeline {
     }
 
     /// A homogeneous pipeline of `ns` inverter-chain stages of depth `nl`
-    /// — the paper's `ns × nl` configurations (§2.4, Fig. 5).
+    /// — the paper's `ns × nl` configurations (§2.4, Fig. 5). The chain
+    /// is built once and cloned into every stage.
     ///
     /// # Panics
     ///
     /// Panics if `ns == 0` or `nl == 0`.
     pub fn inverter_grid(ns: usize, nl: usize, size: f64, latch: LatchParams) -> Self {
         assert!(ns > 0 && nl > 0, "need positive stage count and depth");
-        let stages = (0..ns)
-            .map(|_| crate::generators::inverter_chain(nl, size))
-            .collect();
-        Self::new(&format!("{ns}x{nl}"), stages, latch)
+        let chain = crate::generators::inverter_chain(nl, size);
+        Self::new(&format!("{ns}x{nl}"), vec![chain; ns], latch)
     }
 
     /// The pipeline name.

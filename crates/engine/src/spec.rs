@@ -889,11 +889,18 @@ impl PipelineSpec {
                 depths,
                 size,
                 latch,
-            } => Some(StagedPipeline::new(
-                name,
-                depths.iter().map(|&nl| inverter_chain(nl, *size)).collect(),
-                latch.to_params(),
-            )),
+            } => {
+                // Build each distinct depth once; repeats are clones.
+                let mut built: Vec<Netlist> = Vec::with_capacity(depths.len());
+                for (i, &nl) in depths.iter().enumerate() {
+                    let chain = match depths[..i].iter().position(|&d| d == nl) {
+                        Some(j) => built[j].clone(),
+                        None => inverter_chain(nl, *size),
+                    };
+                    built.push(chain);
+                }
+                Some(StagedPipeline::new(name, built, latch.to_params()))
+            }
             PipelineSpec::Circuits { stages, latch } => Some(StagedPipeline::new(
                 name,
                 stages.iter().map(CircuitSpec::build).collect(),

@@ -1,8 +1,15 @@
-//! Campaign-golden byte identity: the checked-in result file was
-//! generated **before** the incremental timing kernel landed, so this
-//! test is the refactor's contract made executable — the kernel (and
-//! any future timing-path optimization) must reproduce campaign JSON
+//! Golden byte identity. Each checked-in result file was generated
+//! **before** a timing-path optimization landed, so these tests are the
+//! optimization's contract made executable: it must reproduce the JSON
 //! byte for byte, at any worker count, or it is not a pure optimization.
+//!
+//! * `campaign_result.json` predates the incremental timing kernel.
+//! * `sweep_result.json` predates the per-pipeline stage
+//!   de-duplication of the SSTA analysis: an analytic grid under both
+//!   variation modes (random-only, and combined with systematic, where
+//!   equal stages sit in different spatial regions), pipelines with
+//!   repeated chain depths and a repeated random-logic stage, and one
+//!   small gate-level Monte-Carlo scenario.
 //!
 //! To regenerate after an *intentional* experiment change (new spec
 //! fields, different defaults — anything that legitimately changes the
@@ -11,16 +18,20 @@
 //! ```text
 //! cargo run --release -- optimize crates/engine/tests/golden/campaign_spec.json \
 //!     --out crates/engine/tests/golden/campaign_result.json
+//! cargo run --release -- sweep crates/engine/tests/golden/sweep_spec.json \
+//!     --out crates/engine/tests/golden/sweep_result.json
 //! ```
 //!
-//! and say so in the PR — a diff in this file's fixtures is an
-//! experiment change, never a by-product.
+//! and say so in the PR — a diff in these fixtures is an experiment
+//! change, never a by-product.
 
 use vardelay_engine::optimize::{run_campaign, OptimizationCampaign};
-use vardelay_engine::SweepOptions;
+use vardelay_engine::{run_sweep, Sweep, SweepOptions};
 
 const SPEC: &str = include_str!("golden/campaign_spec.json");
 const GOLDEN: &str = include_str!("golden/campaign_result.json");
+const SWEEP_SPEC: &str = include_str!("golden/sweep_spec.json");
+const SWEEP_GOLDEN: &str = include_str!("golden/sweep_result.json");
 
 #[test]
 fn campaign_result_bytes_are_frozen() {
@@ -34,6 +45,21 @@ fn campaign_result_bytes_are_frozen() {
             res.to_json(),
             GOLDEN,
             "campaign bytes drifted at {workers} workers — the timing kernel is no longer \
+             a pure optimization (see this test's module docs before regenerating)"
+        );
+    }
+}
+
+#[test]
+fn sweep_result_bytes_are_frozen() {
+    let sweep = Sweep::from_json(SWEEP_SPEC).expect("golden sweep spec parses");
+    for workers in [1usize, 3] {
+        let res = run_sweep(&sweep, &SweepOptions::sequential().with_workers(workers))
+            .expect("golden sweep runs");
+        assert_eq!(
+            res.to_json(),
+            SWEEP_GOLDEN,
+            "sweep bytes drifted at {workers} workers — the SSTA analysis is no longer \
              a pure optimization (see this test's module docs before regenerating)"
         );
     }

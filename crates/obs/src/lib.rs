@@ -565,6 +565,14 @@ pub fn aggregate(rec: &Recording) -> Aggregate {
 // Rendering: aggregated metrics JSON
 // ---------------------------------------------------------------------------
 
+/// The trial counter of each trial-kernel version, oldest first:
+/// `(kernel name, counter name)`. v1 keeps the historical bare
+/// `"trials"` counter. Metrics and reports list the kernels from this
+/// one table, so a new kernel is a new row here, not a hand edit at
+/// every place that sums or prints trials.
+pub const TRIAL_COUNTERS: [(&str, &str); 3] =
+    [("v1", "trials"), ("v2", "trials_v2"), ("v3", "trials_v3")];
+
 /// Run-level facts the caller knows but the event stream does not.
 #[derive(Debug, Clone, Copy)]
 pub struct RunInfo<'a> {
@@ -625,15 +633,19 @@ pub fn metrics_json(info: &RunInfo<'_>, agg: &Aggregate) -> String {
         "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.4}, \"bytes_saved\": {}}},\n",
         agg.counter("cache/bytes_saved"),
     ));
-    // Trials are counted per kernel version ("trials" = v1, "trials_v2"
-    // = v2) so throughput can be attributed to the kernel that produced
-    // it; the top-level totals fold both together.
-    let trials_v1 = agg.counter("trials");
-    let trials_v2 = agg.counter("trials_v2");
-    let trials = trials_v1 + trials_v2;
+    // Trials are counted per kernel version (see `TRIAL_COUNTERS`) so
+    // throughput can be attributed to the kernel that produced it; the
+    // top-level totals fold every kernel together.
+    let by_kernel = TRIAL_COUNTERS.map(|(kernel, counter)| (kernel, agg.counter(counter)));
+    let trials: u64 = by_kernel.iter().map(|&(_, n)| n).sum();
     out.push_str(&format!("  \"trials\": {trials},\n"));
+    let kernels: Vec<String> = by_kernel
+        .iter()
+        .map(|(kernel, n)| format!("\"{kernel}\": {n}"))
+        .collect();
     out.push_str(&format!(
-        "  \"trials_by_kernel\": {{\"v1\": {trials_v1}, \"v2\": {trials_v2}}},\n"
+        "  \"trials_by_kernel\": {{{}}},\n",
+        kernels.join(", ")
     ));
     // Trial-plan attribution: each non-plain strategy counts its trials
     // under its own counter (in addition to the kernel counter above);
@@ -782,7 +794,12 @@ mod tests {
             main_tid = LOCAL.with(|l| l.borrow().tid);
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    let _sp = span("t", "worker");
+                    {
+                        let _sp = span("t", "worker");
+                    }
+                    // Pool workers flush explicitly (see `flush_thread`);
+                    // the thread-local destructor may run after `finish`.
+                    flush_thread();
                 });
             });
         }
@@ -874,6 +891,8 @@ mod tests {
             counter("trials", 256);
             counter("trials_stratified", 256);
             counter("ess", 100);
+            let _sp4 = span("mc", "block_v3").value(1024.0);
+            counter("trials_v3", 1024);
         }
         let rec = s.finish();
         let agg = aggregate(&rec);
@@ -899,16 +918,18 @@ mod tests {
         assert!(json.contains("\"torn_tail_normalized\": true"));
         assert!(json.contains("\"mc/block\""));
         assert!(json.contains("\"mc/block_v2\""));
-        // The top-level total folds both kernels' trial counters; the
+        // The top-level total folds every kernel's trial counter; the
         // per-kernel split is reported alongside.
-        assert!(json.contains("\"trials\": 1024"));
-        assert!(json.contains("\"trials_by_kernel\": {\"v1\": 512, \"v2\": 512}"));
+        assert!(json.contains("\"trials\": 2048"));
+        assert!(json.contains("\"trials_by_kernel\": {\"v1\": 512, \"v2\": 512, \"v3\": 1024}"));
         // Strategy attribution: the stratified trials came out of the
         // kernel totals, plain is the remainder.
         assert!(json.contains(
-            "\"trials_by_strategy\": {\"plain\": 768, \"antithetic\": 0, \
+            "\"trials_by_strategy\": {\"plain\": 1792, \"antithetic\": 0, \
              \"stratified\": 256, \"sobol\": 0, \"blockade\": 0}"
         ));
+        // 2048 trials over 10 ms of wall.
+        assert!(json.contains("\"trials_per_sec\": 204800.0"));
         assert!(json.contains("\"effective_samples\": 100"));
     }
 

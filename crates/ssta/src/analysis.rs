@@ -3,12 +3,26 @@
 //! [`SstaEngine::stage_delay`] reproduces the paper's "SPICE Monte-Carlo
 //! gives (μᵢ, σᵢ) per stage" step analytically: arrival times in canonical
 //! form are propagated through the stage netlist (exact sums, Clark max at
-//! multi-fanin joins). [`SstaEngine::analyze_pipeline`] runs every stage,
+//! multi-fanin joins). [`SstaEngine::analyze_pipeline`] times every stage,
 //! adds the latch overhead of eq. (1), and extracts the stage-to-stage
 //! correlation matrix from the shared canonical factors — precisely the
 //! `(μᵢ, σᵢ, ρᵢⱼ)` inputs of the paper's pipeline model.
+//!
+//! Every canonical analysis (arrivals, stage max and min delay, the
+//! incremental [`crate::StageSsta`]) runs one in-place forward pass on
+//! reused scratch, built from the bit-identical in-place twins
+//! (`gate_delay_into`, `copy_from`, `max_assign`, `add_assign`).
+//!
+//! **Stage de-duplication.** The paper's `ns × nl` pipelines repeat one
+//! netlist, so [`SstaEngine::analyze_pipeline`] times each distinct
+//! (netlist, spatial region) pair once, scanning only the distinct
+//! representatives so far, and reuses that canonical delay for every
+//! equal stage. This is bit-identical: the canonical delay is a pure
+//! function of engine, region and netlist, and netlist `==` compares
+//! all of its inputs (gate sizes are finite and positive, so `f64`
+//! equality there is bit equality).
 
-use vardelay_circuit::{CellLibrary, Netlist, StagedPipeline};
+use vardelay_circuit::{CellLibrary, LatchParams, Netlist, StagedPipeline};
 use vardelay_process::spatial::SpatialGrid;
 use vardelay_process::VariationConfig;
 use vardelay_stats::{CorrelationMatrix, Normal, SymMatrix};
@@ -44,6 +58,35 @@ impl PipelineTiming {
     /// reports) read per stage.
     pub fn stage_yields(&self, target_ps: f64) -> Vec<f64> {
         self.stage_delays.iter().map(|n| n.cdf(target_ps)).collect()
+    }
+
+    /// Recombines per-stage *combinational* canonical delays into the
+    /// pipeline timing: adds the latch overhead of eq. (1) to each stage
+    /// as an independent term, then takes the stage marginals and the
+    /// correlation matrix of the shared factors.
+    pub(crate) fn from_combinational<'a>(
+        latch: LatchParams,
+        comb: impl Iterator<Item = &'a CanonicalDelay>,
+    ) -> PipelineTiming {
+        let canonical: Vec<CanonicalDelay> = comb
+            .map(|c| c.add_independent(latch.overhead_ps(), latch.overhead_sigma_ps()))
+            .collect();
+        let stage_delays: Vec<Normal> = canonical.iter().map(CanonicalDelay::to_normal).collect();
+        let n = canonical.len();
+        let corr = SymMatrix::from_fn(n, |i, j| {
+            if i == j {
+                1.0
+            } else {
+                canonical[i].correlation(&canonical[j])
+            }
+        });
+        let correlation = CorrelationMatrix::from_matrix(corr)
+            .expect("canonical correlations are valid by construction");
+        PipelineTiming {
+            stage_delays,
+            canonical,
+            correlation,
+        }
     }
 }
 
@@ -122,23 +165,44 @@ impl SstaEngine {
     /// Panics if `region` is out of range for the configured grid.
     pub fn arrival_canonical(&self, netlist: &Netlist, region: usize) -> Vec<CanonicalDelay> {
         let loads = netlist.loads(self.output_load);
-        let nsignals = netlist.input_count() + netlist.gate_count();
-        let mut at: Vec<CanonicalDelay> = Vec::with_capacity(nsignals);
-        for _ in 0..netlist.input_count() {
-            at.push(self.basis.zero());
-        }
+        self.forward_pass(netlist, &loads, region, CanonicalDelay::max_assign, |_| {})
+    }
+
+    /// The forward pass of every canonical analysis: per gate, its delay
+    /// under `loads` (shown to `on_gate`) plus the left-to-right `join`
+    /// of its fanin arrivals. Allocates only the returned arrivals.
+    pub(crate) fn forward_pass(
+        &self,
+        netlist: &Netlist,
+        loads: &[f64],
+        region: usize,
+        join: impl Fn(&mut CanonicalDelay, &CanonicalDelay),
+        mut on_gate: impl FnMut(&CanonicalDelay),
+    ) -> Vec<CanonicalDelay> {
+        let ni = netlist.input_count();
+        let mut at: Vec<CanonicalDelay> = Vec::with_capacity(ni + netlist.gate_count());
+        at.resize(ni, self.basis.zero());
+        let mut d = self.basis.zero();
+        let mut t_in = self.basis.zero();
         for (i, g) in netlist.gates().iter().enumerate() {
-            let out = netlist.input_count() + i;
-            let d = self.basis.gate_delay(
+            self.basis.gate_delay_into(
+                &mut d,
                 &self.lib,
                 &self.variation,
                 g.kind,
                 g.size,
-                loads[out],
+                loads[ni + i],
                 region,
             );
-            let t_in = CanonicalDelay::max_of(g.fanins.iter().map(|f| &at[f.0]));
-            at.push(t_in.add(&d));
+            let mut fanins = g.fanins.iter();
+            let first = fanins.next().expect("gates have at least one fanin");
+            t_in.copy_from(&at[first.0]);
+            for f in fanins {
+                join(&mut t_in, &at[f.0]);
+            }
+            t_in.add_assign(&d);
+            at.push(t_in.clone());
+            on_gate(&d);
         }
         at
     }
@@ -182,24 +246,7 @@ impl SstaEngine {
             "min delay requires at least one primary output"
         );
         let loads = netlist.loads(self.output_load);
-        let nsignals = netlist.input_count() + netlist.gate_count();
-        let mut at: Vec<CanonicalDelay> = Vec::with_capacity(nsignals);
-        for _ in 0..netlist.input_count() {
-            at.push(self.basis.zero());
-        }
-        for (i, g) in netlist.gates().iter().enumerate() {
-            let out = netlist.input_count() + i;
-            let d = self.basis.gate_delay(
-                &self.lib,
-                &self.variation,
-                g.kind,
-                g.size,
-                loads[out],
-                region,
-            );
-            let t_in = CanonicalDelay::min_of(g.fanins.iter().map(|f| &at[f.0]));
-            at.push(t_in.add(&d));
-        }
+        let at = self.forward_pass(netlist, &loads, region, |a, x| *a = a.min(x), |_| {});
         CanonicalDelay::min_of(netlist.outputs().iter().map(|o| &at[o.0])).to_normal()
     }
 
@@ -223,33 +270,24 @@ impl SstaEngine {
     ///
     /// Panics if any stage has no outputs.
     pub fn analyze_pipeline(&self, pipeline: &StagedPipeline) -> PipelineTiming {
-        let latch = pipeline.latch();
-        let canonical: Vec<CanonicalDelay> = pipeline
-            .stages()
-            .iter()
-            .zip(pipeline.positions())
-            .map(|(stage, pos)| {
-                let region = self.grid.as_ref().map_or(0, |g| g.region_of(*pos));
-                self.stage_delay_canonical(stage, region)
-                    .add_independent(latch.overhead_ps(), latch.overhead_sigma_ps())
-            })
-            .collect();
-        let stage_delays: Vec<Normal> = canonical.iter().map(CanonicalDelay::to_normal).collect();
-        let n = canonical.len();
-        let corr = SymMatrix::from_fn(n, |i, j| {
-            if i == j {
-                1.0
-            } else {
-                canonical[i].correlation(&canonical[j])
-            }
-        });
-        let correlation = CorrelationMatrix::from_matrix(corr)
-            .expect("canonical correlations are valid by construction");
-        PipelineTiming {
-            stage_delays,
-            canonical,
-            correlation,
+        let stages = pipeline.stages();
+        // Distinct (stage index, region, combinational canonical delay)
+        // representatives; `pick[i]` is stage i's representative (see the
+        // module docs for why reuse is bit-identical).
+        let mut reps: Vec<(usize, usize, CanonicalDelay)> = Vec::new();
+        let mut pick = Vec::with_capacity(stages.len());
+        for (i, (stage, pos)) in stages.iter().zip(pipeline.positions()).enumerate() {
+            let region = self.grid.as_ref().map_or(0, |g| g.region_of(*pos));
+            let k = reps
+                .iter()
+                .position(|(j, r, _)| *r == region && stages[*j] == *stage)
+                .unwrap_or_else(|| {
+                    reps.push((i, region, self.stage_delay_canonical(stage, region)));
+                    reps.len() - 1
+                });
+            pick.push(k);
         }
+        PipelineTiming::from_combinational(pipeline.latch(), pick.iter().map(|&k| &reps[k].2))
     }
 }
 
@@ -360,6 +398,90 @@ mod tests {
         let y_hard = e.hold_yield(&c, 0, 5.0, 45.0);
         assert!(y_easy > y_hard, "easier hold target, higher yield");
         assert!(y_easy > 0.999, "4 FO1 gates + tcq easily beat 10 ps hold");
+    }
+
+    /// `analyze_pipeline` must equal, bit for bit, a reference that
+    /// times every stage on its own (no de-duplication).
+    fn assert_matches_per_stage_reference(e: &SstaEngine, p: &StagedPipeline) {
+        let latch = p.latch();
+        let reference: Vec<CanonicalDelay> = p
+            .stages()
+            .iter()
+            .zip(p.positions())
+            .map(|(stage, pos)| {
+                let region = e.grid().map_or(0, |g| g.region_of(*pos));
+                e.stage_delay_canonical(stage, region)
+                    .add_independent(latch.overhead_ps(), latch.overhead_sigma_ps())
+            })
+            .collect();
+        let t = e.analyze_pipeline(p);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let canon_bits = |c: &CanonicalDelay| bits(&[&[c.mean(), c.indep()], c.shared()].concat());
+        let want_means: Vec<f64> = reference.iter().map(|c| c.to_normal().mean()).collect();
+        let want_sds: Vec<f64> = reference.iter().map(|c| c.to_normal().sd()).collect();
+        assert_eq!(bits(&t.means()), bits(&want_means));
+        assert_eq!(bits(&t.sds()), bits(&want_sds));
+        let n = reference.len();
+        for i in 0..n {
+            assert_eq!(canon_bits(&t.canonical[i]), canon_bits(&reference[i]));
+            for j in 0..n {
+                let want = if i == j {
+                    1.0
+                } else {
+                    reference[i].correlation(&reference[j])
+                };
+                assert_eq!(
+                    t.correlation.get(i, j).to_bits(),
+                    want.to_bits(),
+                    "correlation ({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_homogeneous_grid_is_bit_exact() {
+        let e = engine(VariationConfig::random_only(35.0));
+        let p = StagedPipeline::inverter_grid(6, 12, 1.3, LatchParams::tg_msff_70nm());
+        assert_matches_per_stage_reference(&e, &p);
+    }
+
+    #[test]
+    fn dedup_across_spatial_regions_is_bit_exact() {
+        let e = engine(VariationConfig::combined(20.0, 35.0, 15.0));
+        let p = StagedPipeline::inverter_grid(10, 9, 1.0, LatchParams::tg_msff_70nm());
+        // The default 4x4 grid puts the stages in several regions, so
+        // equal netlists in different regions must not share a result.
+        let grid = e.grid().expect("systematic variation implies a grid");
+        let mut regions: Vec<usize> = p.positions().iter().map(|q| grid.region_of(*q)).collect();
+        regions.dedup();
+        assert!(regions.len() >= 3, "stages span regions {regions:?}");
+        assert_matches_per_stage_reference(&e, &p);
+    }
+
+    #[test]
+    fn dedup_mixed_repeated_and_distinct_stages_is_bit_exact() {
+        use vardelay_circuit::generators::{random_logic, RandomLogicConfig};
+        let rand = |seed| random_logic(&RandomLogicConfig::new("mix", seed));
+        // Under the 4x4 grid, stages 2k and 2k+1 share a region: equal
+        // pairs there are reused, equal stages elsewhere are not.
+        let stages = vec![
+            inverter_chain(9, 1.0),
+            inverter_chain(9, 1.0),
+            rand(5),
+            rand(5),
+            inverter_chain(12, 1.0),
+            inverter_chain(9, 1.0),
+            rand(7),
+            inverter_chain(12, 2.0),
+        ];
+        let p = StagedPipeline::new("mix", stages, LatchParams::tg_msff_70nm());
+        for var in [
+            VariationConfig::random_only(35.0),
+            VariationConfig::combined(20.0, 35.0, 15.0),
+        ] {
+            assert_matches_per_stage_reference(&engine(var), &p);
+        }
     }
 
     #[test]

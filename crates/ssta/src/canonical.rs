@@ -136,21 +136,9 @@ impl CanonicalDelay {
     ///
     /// Panics if factor counts differ.
     pub fn add(&self, other: &CanonicalDelay) -> CanonicalDelay {
-        assert_eq!(
-            self.shared.len(),
-            other.shared.len(),
-            "canonical delays must share one factor basis"
-        );
-        CanonicalDelay {
-            mean: self.mean + other.mean,
-            shared: self
-                .shared
-                .iter()
-                .zip(&other.shared)
-                .map(|(a, b)| a + b)
-                .collect(),
-            indep: (self.indep * self.indep + other.indep * other.indep).sqrt(),
-        }
+        let mut out = self.clone();
+        out.add_assign(other);
+        out
     }
 
     /// Adds a deterministic offset.
@@ -237,7 +225,7 @@ impl CanonicalDelay {
     }
 
     /// In-place exact sum `self += other` — the allocation-free form of
-    /// [`CanonicalDelay::add`], bit-identical to it.
+    /// [`CanonicalDelay::add`] (which delegates here).
     ///
     /// # Panics
     ///
@@ -284,8 +272,14 @@ impl CanonicalDelay {
     /// Panics if the iterator is empty.
     pub fn max_of<'a, I: IntoIterator<Item = &'a CanonicalDelay>>(items: I) -> CanonicalDelay {
         let mut it = items.into_iter();
-        let first = it.next().expect("max_of requires at least one input");
-        it.fold(first.clone(), |acc, x| acc.max(x))
+        let mut acc = it
+            .next()
+            .expect("max_of requires at least one input")
+            .clone();
+        for x in it {
+            acc.max_assign(x);
+        }
+        acc
     }
 
     /// Negation `-d` (exact: flips the mean and shared sensitivities).

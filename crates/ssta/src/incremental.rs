@@ -39,10 +39,14 @@
 //! global Fig. 9 flow re-analyzes the whole pipeline after each round,
 //! but only the stages it actually re-sized have changed — cache each
 //! stage's canonical combinational delay and recombine the Clark
-//! max/correlation matrix from the cached moments.
+//! max/correlation matrix from the cached moments, through the same
+//! recombination as [`SstaEngine::analyze_pipeline`].
+//! The full analysis likewise times each distinct (netlist, region)
+//! stage once and reuses it for equal stages — bit-identical because
+//! equal inputs give equal bits (see [`crate::analysis`]).
 
 use vardelay_circuit::{CellLibrary, Netlist, SignalId, StagedPipeline};
-use vardelay_stats::{CorrelationMatrix, Normal, SymMatrix};
+use vardelay_stats::Normal;
 
 use crate::analysis::{PipelineTiming, SstaEngine};
 use crate::canonical::CanonicalDelay;
@@ -489,48 +493,18 @@ impl<'a> StageSsta<'a> {
     /// Panics if `region` is out of range for the engine's grid.
     pub fn new(engine: &'a SstaEngine, timer: &StageTimer<'_>, region: usize) -> StageSsta<'a> {
         let nl = timer.netlist();
-        let ni = nl.input_count();
         let ng = nl.gate_count();
-        let basis = engine.basis();
-        let mut canon_at: Vec<CanonicalDelay> = Vec::with_capacity(ni + ng);
-        for _ in 0..ni {
-            canon_at.push(basis.zero());
-        }
+        let loads = timer.loads();
         let mut canon_gate = Vec::with_capacity(ng);
-        let mut sizes = Vec::with_capacity(ng);
-        let mut loads_out = Vec::with_capacity(ng);
-        let mut d = basis.zero();
-        let mut t_in = basis.zero();
-        for (i, g) in nl.gates().iter().enumerate() {
-            let load = timer.loads()[ni + i];
-            basis.gate_delay_into(
-                &mut d,
-                engine.library(),
-                engine.variation(),
-                g.kind,
-                g.size,
-                load,
-                region,
-            );
-            // Fold fanins left-to-right exactly like
-            // `CanonicalDelay::max_of`, then + gate delay.
-            let mut fanins = g.fanins.iter();
-            let first = fanins.next().expect("gates have at least one fanin");
-            t_in.copy_from(&canon_at[first.0]);
-            for f in fanins {
-                t_in.max_assign(&canon_at[f.0]);
-            }
-            t_in.add_assign(&d);
-            canon_at.push(t_in.clone());
-            canon_gate.push(d.clone());
-            sizes.push(g.size);
-            loads_out.push(load);
-        }
+        let canon_at = engine.forward_pass(nl, loads, region, CanonicalDelay::max_assign, |d| {
+            canon_gate.push(d.clone())
+        });
+        let basis = engine.basis();
         StageSsta {
             engine,
             region,
-            sizes,
-            loads_out,
+            sizes: nl.gates().iter().map(|g| g.size).collect(),
+            loads_out: loads[nl.input_count()..].to_vec(),
             canon_gate,
             canon_at,
             queued: vec![false; ng],
@@ -721,32 +695,10 @@ impl PipelineTimingCache {
     /// Panics if any (recomputed) stage has no outputs.
     pub fn analyze(&mut self, engine: &SstaEngine, pipeline: &StagedPipeline) -> PipelineTiming {
         self.sync(engine, pipeline);
-        let latch = pipeline.latch();
-        let canonical: Vec<CanonicalDelay> = self
-            .comb
-            .iter()
-            .map(|c| {
-                c.as_ref()
-                    .expect("synced above")
-                    .add_independent(latch.overhead_ps(), latch.overhead_sigma_ps())
-            })
-            .collect();
-        let stage_delays: Vec<Normal> = canonical.iter().map(CanonicalDelay::to_normal).collect();
-        let n = canonical.len();
-        let corr = SymMatrix::from_fn(n, |i, j| {
-            if i == j {
-                1.0
-            } else {
-                canonical[i].correlation(&canonical[j])
-            }
-        });
-        let correlation = CorrelationMatrix::from_matrix(corr)
-            .expect("canonical correlations are valid by construction");
-        PipelineTiming {
-            stage_delays,
-            canonical,
-            correlation,
-        }
+        PipelineTiming::from_combinational(
+            pipeline.latch(),
+            self.comb.iter().map(|c| c.as_ref().expect("synced above")),
+        )
     }
 }
 
@@ -879,6 +831,26 @@ mod tests {
                     engine.stage_delay(&n, 0),
                     "{var:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn stage_ssta_starts_from_the_engine_forward_pass() {
+        for var in [
+            VariationConfig::random_only(35.0),
+            VariationConfig::combined(20.0, 35.0, 15.0),
+        ] {
+            let engine = SstaEngine::new(lib(), var, None);
+            let n = random_logic(&RandomLogicConfig::new("it7", 19));
+            let timer = StageTimer::new(n.clone(), engine.library(), engine.output_load());
+            for region in [0, 5] {
+                let ssta = StageSsta::new(&engine, &timer, region);
+                let want = engine.arrival_canonical(&n, region);
+                assert_eq!(ssta.canon_at.len(), want.len());
+                for (got, want) in ssta.canon_at.iter().zip(&want) {
+                    assert!(canon_bits_eq(got, want), "{got:?} != {want:?}");
+                }
             }
         }
     }
