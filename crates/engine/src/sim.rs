@@ -11,17 +11,16 @@
 //! `(scenario_id, trial_index)`, any backend inherits the engine's
 //! worker-count-independence for free.
 //!
-//! Three backends ship:
+//! Two simulators ship:
 //!
 //! * [`MvnSim`] — joint-Gaussian stage-delay sampling for moment-form
-//!   scenarios (the `pipeline` backend's moments half).
-//! * [`StagedMcSim`] — gate-level trials through
-//!   [`vardelay_mc::PipelineMc`] (the `pipeline` backend's netlist
-//!   half; the engine's original code path, numerically unchanged).
-//! * [`GateLevelSim`] — the same physics on the allocation-free
+//!   scenarios (the `pipeline` backend on a moments pipeline).
+//! * [`GateLevelSim`] — gate-level trials on the allocation-free
 //!   prepared path ([`vardelay_mc::PreparedPipelineMc`]): per-worker
 //!   [`TrialWorkspace`] scratch buffers, loads and nominal delays
 //!   precomputed at prepare time, **zero heap allocation per trial**.
+//!   Both the `pipeline` and the `netlist` backend run netlist-form
+//!   scenarios through it.
 //!
 //! The closed-form `analytic` backend needs no simulator at all — it
 //! contributes no trial blocks.
@@ -33,7 +32,7 @@ use rand::SeedableRng;
 use vardelay_circuit::StagedPipeline;
 use vardelay_mc::{
     PipelineBlockStats, PipelineMc, PlanSampler, PreparedPipelineMc, TrialKernel, TrialPlan,
-    TrialWorkspace, V2_LANES, V3_LANES,
+    TrialWorkspace,
 };
 use vardelay_stats::MultivariateNormal;
 
@@ -42,7 +41,8 @@ use crate::spec::BackendSpec;
 
 /// Builds the gate-level simulator a scenario's `backend` keyword
 /// selects for `staged` — the one place the spec-level backend choice
-/// is mapped onto an executable [`Simulator`].
+/// is mapped onto an executable [`Simulator`]. Both sampling backends
+/// run gate-level trials on the one prepared runner.
 ///
 /// # Panics
 ///
@@ -56,8 +56,9 @@ pub(crate) fn gate_level_backend(
     plan: TrialPlan,
 ) -> Box<dyn Simulator> {
     match backend {
-        BackendSpec::Pipeline => Box::new(StagedMcSim::new(mc, staged).with_plan(plan)),
-        BackendSpec::Netlist => Box::new(GateLevelSim::new(&mc, &staged).with_plan(plan)),
+        BackendSpec::Pipeline | BackendSpec::Netlist => {
+            Box::new(GateLevelSim::new(&mc, &staged).with_plan(plan))
+        }
         BackendSpec::Analytic => unreachable!("the analytic backend rejects trials"),
     }
 }
@@ -101,10 +102,10 @@ impl MvnSim {
         }
     }
 
-    /// Selects the trial-kernel contract. `v2` draws its iid normals
-    /// through the batch pair-producing Box–Muller fill and folds
-    /// statistics over [`V2_LANES`] lanes — same seeds, different
-    /// (frozen) bytes.
+    /// Selects the trial-kernel contract. `v2`/`v3` draw their iid
+    /// normals through batch fills and fold statistics through the
+    /// kernel's lanes ([`TrialKernel::fold_trials`]) — same seeds,
+    /// different (frozen) bytes.
     pub fn with_kernel(mut self, kernel: TrialKernel) -> Self {
         self.kernel = kernel;
         self
@@ -122,85 +123,31 @@ impl MvnSim {
     fn run_block_plan(&self, scenario_id: u64, trials: Range<u64>, stats: &mut PipelineBlockStats) {
         let mut ps = PlanSampler::new(self.plan, self.mvn.dim(), trial_seed(scenario_id, 0));
         let weighted = self.plan.is_weighted();
+        let kernel = self.kernel;
         let mut z = Vec::new();
         let mut x = Vec::new();
-        match self.kernel {
-            TrialKernel::V1 => {
-                for t in trials {
-                    let (seed_index, sign) = ps.prepare_trial(t);
-                    let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, seed_index));
-                    let w = self.mvn.sample_into_plan(
-                        &mut rng,
-                        sign,
-                        ps.lead(),
-                        ps.shift(),
-                        &mut z,
-                        &mut x,
-                    );
-                    let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    if weighted {
-                        stats.record_weighted(&x, maxd, w);
-                    } else {
-                        stats.record(&x, maxd);
-                    }
-                }
+        kernel.fold_trials(stats, trials, |t, acc| {
+            let (seed_index, sign) = ps.prepare_trial(t);
+            let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, seed_index));
+            let (lead, shift) = (ps.lead(), ps.shift());
+            let w = match kernel {
+                TrialKernel::V1 => self
+                    .mvn
+                    .sample_into_plan(&mut rng, sign, lead, shift, &mut z, &mut x),
+                TrialKernel::V2 => self
+                    .mvn
+                    .sample_into_v2_plan(&mut rng, sign, lead, shift, &mut z, &mut x),
+                TrialKernel::V3 => self
+                    .mvn
+                    .sample_into_v3_plan(&mut rng, sign, lead, shift, &mut z, &mut x),
+            };
+            let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            if weighted {
+                acc.record_weighted(&x, maxd, w);
+            } else {
+                acc.record(&x, maxd);
             }
-            TrialKernel::V2 => {
-                // Same lane-folded merge tree as the plain v2 path.
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V2_LANES).map(|_| stats.fresh_like()).collect();
-                for t in trials {
-                    let (seed_index, sign) = ps.prepare_trial(t);
-                    let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, seed_index));
-                    let w = self.mvn.sample_into_v2_plan(
-                        &mut rng,
-                        sign,
-                        ps.lead(),
-                        ps.shift(),
-                        &mut z,
-                        &mut x,
-                    );
-                    let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    let lane = &mut lanes[(t % V2_LANES as u64) as usize];
-                    if weighted {
-                        lane.record_weighted(&x, maxd, w);
-                    } else {
-                        lane.record(&x, maxd);
-                    }
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
-            }
-            TrialKernel::V3 => {
-                // The wide kernel's MVN surface: inverse-CDF normal
-                // source, V3_LANES-wide merge tree, same plan overlay.
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V3_LANES).map(|_| stats.fresh_like()).collect();
-                for t in trials {
-                    let (seed_index, sign) = ps.prepare_trial(t);
-                    let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, seed_index));
-                    let w = self.mvn.sample_into_v3_plan(
-                        &mut rng,
-                        sign,
-                        ps.lead(),
-                        ps.shift(),
-                        &mut z,
-                        &mut x,
-                    );
-                    let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    let lane = &mut lanes[(t % V3_LANES as u64) as usize];
-                    if weighted {
-                        lane.record_weighted(&x, maxd, w);
-                    } else {
-                        lane.record(&x, maxd);
-                    }
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
-            }
-        }
+        });
     }
 }
 
@@ -215,101 +162,22 @@ impl Simulator for MvnSim {
         if !self.plan.is_plain() {
             return self.run_block_plan(scenario_id, trials, stats);
         }
-        match self.kernel {
-            TrialKernel::V1 => {
-                for t in trials {
-                    let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, t));
-                    let stages = self.mvn.sample(&mut rng);
-                    let maxd = stages.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    stats.record(&stages, maxd);
-                }
+        let kernel = self.kernel;
+        let mut z = Vec::new();
+        let mut x = Vec::new();
+        kernel.fold_trials(stats, trials, |t, acc| {
+            let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, t));
+            // v2 draws through the batch pair-producing Box–Muller fill,
+            // v3 through the batch inverse-CDF fill (the wide kernel's
+            // normal source).
+            match kernel {
+                TrialKernel::V1 => x = self.mvn.sample(&mut rng),
+                TrialKernel::V2 => self.mvn.sample_into_v2(&mut rng, &mut z, &mut x),
+                TrialKernel::V3 => self.mvn.sample_into_v3(&mut rng, &mut z, &mut x),
             }
-            TrialKernel::V2 => {
-                // Lane-folded accumulation: trial t lands in lane
-                // t % V2_LANES (a pure function of the global index, so
-                // the fold tree is identical for any worker count), and
-                // lanes merge in ascending order at block end. The
-                // runner's fixed block partition makes this the same
-                // merge tree for every execution shape.
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V2_LANES).map(|_| stats.fresh_like()).collect();
-                let mut z = Vec::new();
-                let mut x = Vec::new();
-                for t in trials {
-                    let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, t));
-                    self.mvn.sample_into_v2(&mut rng, &mut z, &mut x);
-                    let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    lanes[(t % V2_LANES as u64) as usize].record(&x, maxd);
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
-            }
-            TrialKernel::V3 => {
-                // Same fixed merge-tree construction as v2, widened to
-                // V3_LANES and drawing through the batch inverse-CDF
-                // fill (the wide kernel's normal source).
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V3_LANES).map(|_| stats.fresh_like()).collect();
-                let mut z = Vec::new();
-                let mut x = Vec::new();
-                for t in trials {
-                    let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, t));
-                    self.mvn.sample_into_v3(&mut rng, &mut z, &mut x);
-                    let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                    lanes[(t % V3_LANES as u64) as usize].record(&x, maxd);
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
-            }
-        }
-    }
-}
-
-/// Gate-level trials through [`PipelineMc`] — the engine's original
-/// netlist path, kept numerically identical behind the trait.
-pub struct StagedMcSim {
-    mc: PipelineMc,
-    staged: StagedPipeline,
-    plan: TrialPlan,
-}
-
-impl StagedMcSim {
-    /// Pairs a runner with the pipeline it times (plain trial plan).
-    pub fn new(mc: PipelineMc, staged: StagedPipeline) -> Self {
-        StagedMcSim {
-            mc,
-            staged,
-            plan: TrialPlan::plain(),
-        }
-    }
-
-    /// Selects the trial-plan contract (the plain plan keeps the exact
-    /// historical code path).
-    pub fn with_plan(mut self, plan: TrialPlan) -> Self {
-        self.plan = plan;
-        self
-    }
-}
-
-impl Simulator for StagedMcSim {
-    fn run_block(
-        &self,
-        _ws: &mut TrialWorkspace,
-        scenario_id: u64,
-        trials: Range<u64>,
-        stats: &mut PipelineBlockStats,
-    ) {
-        // run_block_plan routes the plain plan straight to the
-        // historical run_block — byte-inert by construction.
-        self.mc.run_block_plan(
-            &self.staged,
-            trials,
-            |t| trial_seed(scenario_id, t),
-            self.plan,
-            stats,
-        );
+            let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            acc.record(&x, maxd);
+        });
     }
 }
 
@@ -356,32 +224,6 @@ mod tests {
     use super::*;
     use vardelay_circuit::{CellLibrary, LatchParams};
     use vardelay_process::VariationConfig;
-
-    /// The two gate-level backends are alternative implementations of
-    /// the same contract: identical seeds must give bit-identical
-    /// statistics. This is the guarantee that makes `backend: netlist`
-    /// a pure speed choice rather than a different experiment.
-    #[test]
-    fn staged_and_gate_level_backends_are_bit_identical() {
-        let staged = StagedPipeline::inverter_grid(4, 7, 1.0, LatchParams::tg_msff_70nm());
-        let mc = PipelineMc::new(
-            CellLibrary::default(),
-            VariationConfig::combined(20.0, 35.0, 15.0),
-            None,
-        );
-        let slow = StagedMcSim::new(mc.clone(), staged.clone());
-        let fast = GateLevelSim::new(&mc, &staged);
-
-        let id = 0xDA7E_2005_u64;
-        let targets = [150.0];
-        let mut a = PipelineBlockStats::new(4, &targets);
-        let mut b = PipelineBlockStats::new(4, &targets);
-        let mut ws = TrialWorkspace::new();
-        slow.run_block(&mut ws, id, 0..500, &mut a);
-        let mut ws2 = TrialWorkspace::new();
-        fast.run_block(&mut ws2, id, 0..500, &mut b);
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn gate_level_workspace_reuse_spans_blocks() {

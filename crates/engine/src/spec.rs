@@ -25,17 +25,17 @@ use crate::seed::fnv1a64;
 /// an existing spec reproduces its historical results bit for bit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BackendSpec {
-    /// The staged-pipeline Monte-Carlo substrate: joint-Gaussian stage
-    /// sampling for moment-form scenarios, [`vardelay_mc::PipelineMc`]
-    /// for gate-level ones. The engine's original behavior.
+    /// The default backend: joint-Gaussian stage sampling for
+    /// moment-form scenarios, gate-level Monte-Carlo (the same runner as
+    /// `Netlist`) for netlist-form ones.
     #[default]
     Pipeline,
-    /// Gate-level Monte-Carlo on the allocation-free prepared path
-    /// ([`vardelay_mc::PreparedPipelineMc`]): every trial samples a die
-    /// through the process sampler and times real netlists with
-    /// workspace-reused buffers. Statistically identical to `Pipeline`
-    /// on the same circuits, and the backend of choice for large trial
-    /// budgets and [`CircuitSpec`] workloads.
+    /// Gate-level Monte-Carlo only ([`vardelay_mc::PreparedPipelineMc`]):
+    /// every trial samples a die through the process sampler and times
+    /// real netlists with workspace-reused buffers. Rejects moment-form
+    /// pipelines. On netlist-form pipelines it runs exactly what
+    /// `Pipeline` runs — the keyword changes only the result's backend
+    /// label, never a Monte-Carlo byte.
     Netlist,
     /// Closed-form Clark/SSTA evaluation only — no sampling. Pairs with
     /// a Monte-Carlo twin of the same scenario to put model-vs-MC deltas

@@ -10,6 +10,11 @@
 //!   equal stages sit in different spatial regions), pipelines with
 //!   repeated chain depths and a repeated random-logic stage, and one
 //!   small gate-level Monte-Carlo scenario.
+//! * `gate_level_result.json` predates the single gate-level
+//!   Monte-Carlo runner: both gate-level backends (`pipeline` and
+//!   `netlist`) under every trial kernel (v1/v2/v3) and every trial plan
+//!   (plain, antithetic, stratified, Sobol, blockade), on inverter-stage
+//!   and mixed random-logic pipelines under combined variation.
 //!
 //! To regenerate after an *intentional* experiment change (new spec
 //! fields, different defaults — anything that legitimately changes the
@@ -20,6 +25,8 @@
 //!     --out crates/engine/tests/golden/campaign_result.json
 //! cargo run --release -- sweep crates/engine/tests/golden/sweep_spec.json \
 //!     --out crates/engine/tests/golden/sweep_result.json
+//! cargo run --release -- sweep crates/engine/tests/golden/gate_level_spec.json \
+//!     --out crates/engine/tests/golden/gate_level_result.json
 //! ```
 //!
 //! and say so in the PR — a diff in these fixtures is an experiment
@@ -32,6 +39,8 @@ const SPEC: &str = include_str!("golden/campaign_spec.json");
 const GOLDEN: &str = include_str!("golden/campaign_result.json");
 const SWEEP_SPEC: &str = include_str!("golden/sweep_spec.json");
 const SWEEP_GOLDEN: &str = include_str!("golden/sweep_result.json");
+const GATE_LEVEL_SPEC: &str = include_str!("golden/gate_level_spec.json");
+const GATE_LEVEL_GOLDEN: &str = include_str!("golden/gate_level_result.json");
 
 #[test]
 fn campaign_result_bytes_are_frozen() {
@@ -52,15 +61,22 @@ fn campaign_result_bytes_are_frozen() {
 
 #[test]
 fn sweep_result_bytes_are_frozen() {
-    let sweep = Sweep::from_json(SWEEP_SPEC).expect("golden sweep spec parses");
-    for workers in [1usize, 3] {
-        let res = run_sweep(&sweep, &SweepOptions::sequential().with_workers(workers))
-            .expect("golden sweep runs");
-        assert_eq!(
-            res.to_json(),
-            SWEEP_GOLDEN,
-            "sweep bytes drifted at {workers} workers — the SSTA analysis is no longer \
-             a pure optimization (see this test's module docs before regenerating)"
-        );
+    for (spec, golden) in [
+        (SWEEP_SPEC, SWEEP_GOLDEN),
+        (GATE_LEVEL_SPEC, GATE_LEVEL_GOLDEN),
+    ] {
+        let sweep = Sweep::from_json(spec).expect("golden sweep spec parses");
+        for workers in [1usize, 3] {
+            let res = run_sweep(&sweep, &SweepOptions::sequential().with_workers(workers))
+                .expect("golden sweep runs");
+            assert_eq!(
+                res.to_json(),
+                golden,
+                "sweep '{}' bytes drifted at {workers} workers — the SSTA analysis or the \
+                 gate-level Monte-Carlo is no longer a pure optimization (see this test's \
+                 module docs before regenerating)",
+                sweep.name
+            );
+        }
     }
 }

@@ -17,6 +17,10 @@
 //! in distinct journal entries per kernel, but a spec's seeds never move
 //! when the kernel changes.
 
+use std::ops::Range;
+
+use crate::results::PipelineBlockStats;
+
 /// Which trial-kernel contract a Monte-Carlo runner executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TrialKernel {
@@ -61,6 +65,26 @@ impl TrialKernel {
     }
 }
 
+impl TrialKernel {
+    /// Calls `trial(t, acc)` for every `t` in `trials`, in ascending
+    /// order, where `trial` records trial `t` into `acc`: the kernel's
+    /// merge tree. v1 records straight into `stats`; v2 and v3 record
+    /// into a [`LaneFold`] of [`V2_LANES`] / [`V3_LANES`] lanes that
+    /// folds into `stats` at the end.
+    pub fn fold_trials(
+        self,
+        stats: &mut PipelineBlockStats,
+        trials: Range<u64>,
+        mut trial: impl FnMut(u64, &mut PipelineBlockStats),
+    ) {
+        match self {
+            TrialKernel::V1 => trials.for_each(|t| trial(t, stats)),
+            TrialKernel::V2 => LaneFold::<V2_LANES>::run(stats, trials, trial),
+            TrialKernel::V3 => LaneFold::<V3_LANES>::run(stats, trials, trial),
+        }
+    }
+}
+
 /// Number of statistics lanes in the v2 kernel's fixed merge tree.
 ///
 /// v2 accumulates trial `t` into lane `t % V2_LANES` and folds the lanes
@@ -91,9 +115,88 @@ pub const V3_WIDTH: usize = 16;
 /// once, but frozen independently — both are part of the v3 contract.
 pub const V3_LANES: usize = 16;
 
+/// The fixed merge tree of a lane-folded kernel: v2 with
+/// `L = V2_LANES`, v3 with `L = V3_LANES`.
+///
+/// Trial `t` accumulates into lane `t % L` (through
+/// [`PipelineBlockStats::record`] or, under a weighted trial plan,
+/// [`PipelineBlockStats::record_weighted`]), and
+/// [`LaneFold::merge_into`] folds the lanes into the block's statistics
+/// in ascending lane order. The lane is a pure function of the global
+/// trial index, so with the runner's fixed block partition the tree —
+/// and with it the result bytes — is the same for any worker count,
+/// shard split or resume point.
+#[derive(Debug, Clone)]
+pub struct LaneFold<const L: usize> {
+    lanes: Vec<PipelineBlockStats>,
+}
+
+impl<const L: usize> LaneFold<L> {
+    /// `L` empty lanes shaped like `stats` (see
+    /// [`PipelineBlockStats::fresh_like`]).
+    pub fn new(stats: &PipelineBlockStats) -> Self {
+        LaneFold {
+            lanes: (0..L).map(|_| stats.fresh_like()).collect(),
+        }
+    }
+
+    /// The lane trial `t` records into.
+    pub fn lane(&mut self, t: u64) -> &mut PipelineBlockStats {
+        &mut self.lanes[(t % L as u64) as usize]
+    }
+
+    /// Folds every lane into `stats`, in ascending lane order.
+    pub fn merge_into(self, stats: &mut PipelineBlockStats) {
+        for lane in &self.lanes {
+            stats.merge(lane);
+        }
+    }
+
+    /// Calls `trial(t, lane)` for every `t` in `trials`, in ascending
+    /// order, then folds the lanes into `stats`.
+    pub fn run(
+        stats: &mut PipelineBlockStats,
+        trials: Range<u64>,
+        mut trial: impl FnMut(u64, &mut PipelineBlockStats),
+    ) {
+        let mut fold = Self::new(stats);
+        for t in trials {
+            trial(t, fold.lane(t));
+        }
+        fold.merge_into(stats);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fold is exactly the hand-built tree: lane `t % L`, ascending
+    /// merge, weighted tails carried through.
+    #[test]
+    fn lane_fold_matches_a_hand_built_merge_tree() {
+        let make = || PipelineBlockStats::new(2, &[10.0]).with_weighted_tail();
+        let trial = |t: u64| {
+            let d = (t as f64 * 0.37).sin() * 3.0 + 9.0;
+            ([d - 1.0, d], d, 1.0 + (t % 5) as f64 * 0.1)
+        };
+        let mut got = make();
+        LaneFold::<3>::run(&mut got, 5..40, |t, lane| {
+            let (stages, maxd, w) = trial(t);
+            lane.record_weighted(&stages, maxd, w);
+        });
+        let mut lanes: Vec<PipelineBlockStats> = (0..3).map(|_| make()).collect();
+        for t in 5..40u64 {
+            let (stages, maxd, w) = trial(t);
+            lanes[(t % 3) as usize].record_weighted(&stages, maxd, w);
+        }
+        let mut want = make();
+        for lane in &lanes {
+            want.merge(lane);
+        }
+        assert_eq!(got, want);
+        assert_eq!(got.trials(), 35);
+    }
 
     #[test]
     fn names_and_default() {

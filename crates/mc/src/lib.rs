@@ -11,15 +11,17 @@
 //!
 //! * [`results`] — sample container with moments, quantiles, histograms,
 //!   yield estimates with confidence intervals.
-//! * [`engine`] — single-netlist Monte-Carlo (streaming, O(1) memory in
-//!   the trial count).
-//! * [`pipeline_mc`] — whole-pipeline Monte-Carlo (stage max + latch
-//!   overhead), multithreaded.
-//! * [`prepared`] — the allocation-free prepared/workspace variant of
-//!   the pipeline runner (the sweep engine's gate-level hot path).
+//! * [`pipeline_mc`] — the experiment (library, variation, output load,
+//!   trial kernel), the scalar v1 reference trial, and a multithreaded
+//!   whole-pipeline campaign that keeps every sample.
+//! * [`prepared`] — the allocation-free prepared/workspace runner: the
+//!   one implementation of gate-level trial blocks, under every kernel
+//!   and trial plan (the sweep engine's gate-level hot path).
 //! * [`kernel`] — the versioned trial-kernel contract: v1 (scalar
-//!   Box–Muller + exact `powf`) and v2 (batch sampling + frozen
-//!   polynomial slowdown + lane-folded statistics).
+//!   Box–Muller + exact `powf`), v2 (batch sampling + frozen polynomial
+//!   slowdown) and v3 (wide lane-major passes + FMA-fused inverse-CDF
+//!   fill), with the lane-folded statistics of v2/v3 in one
+//!   [`LaneFold`].
 //! * [`strategy`] — the versioned trial-plan contracts (antithetic,
 //!   stratified, Sobol QMC, statistical blockade): how the counter-based
 //!   streams are shaped into draws, orthogonal to the kernel.
@@ -27,28 +29,27 @@
 //! # Example
 //!
 //! ```
-//! use vardelay_circuit::generators::inverter_chain;
+//! use vardelay_circuit::{LatchParams, StagedPipeline};
 //! use vardelay_circuit::CellLibrary;
-//! use vardelay_mc::{McConfig, NetlistMc};
+//! use vardelay_mc::{McConfig, PipelineMc};
 //! use vardelay_process::VariationConfig;
 //!
-//! let mc = NetlistMc::new(CellLibrary::default(), VariationConfig::random_only(35.0), None);
-//! let res = mc.run(&inverter_chain(8, 1.0), 0, &McConfig::quick(2_000, 1));
-//! assert!(res.pipeline().mean() > 0.0);
+//! let mc = PipelineMc::new(CellLibrary::default(), VariationConfig::random_only(35.0), None);
+//! let pipeline = StagedPipeline::inverter_grid(3, 8, 1.0, LatchParams::ideal());
+//! let res = mc.run(&pipeline, &McConfig::quick(2_000, 1));
+//! assert!(res.pipeline.mean() > 0.0);
 //! ```
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod engine;
 pub mod kernel;
 pub mod pipeline_mc;
 pub mod prepared;
 pub mod results;
 pub mod strategy;
 
-pub use engine::NetlistMc;
-pub use kernel::{TrialKernel, V2_LANES, V3_LANES, V3_WIDTH};
+pub use kernel::{LaneFold, TrialKernel, V2_LANES, V3_LANES, V3_WIDTH};
 pub use pipeline_mc::{PipelineMc, PipelineMcResult};
 pub use prepared::{PreparedPipelineMc, TrialWorkspace};
 pub use results::{HistogramSpec, McConfig, McResult, PipelineBlockStats, YieldEstimate};

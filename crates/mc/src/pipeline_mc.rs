@@ -3,15 +3,15 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vardelay_circuit::{CellLibrary, StagedPipeline};
+use vardelay_circuit::{CellLibrary, Netlist, StagedPipeline};
 use vardelay_process::spatial::SpatialGrid;
-use vardelay_process::VariationConfig;
+use vardelay_process::{DieSample, ProcessSampler, VariationConfig};
+use vardelay_ssta::sta::{arrival_times, DEFAULT_OUTPUT_LOAD};
 use vardelay_stats::normal::sample_standard_normal;
 use vardelay_stats::RunningStats;
 
-use crate::engine::NetlistMc;
 use crate::kernel::TrialKernel;
-use crate::results::{McConfig, McResult, PipelineBlockStats};
+use crate::results::{McConfig, McResult};
 
 /// Results of a pipeline Monte-Carlo campaign.
 #[derive(Debug, Clone)]
@@ -42,18 +42,30 @@ impl PipelineMcResult {
 /// Each trial samples one die; all stages see the same inter-die shift and
 /// the correlated systematic values of their respective regions, so the
 /// stage-delay correlation structure of §2.1 emerges naturally rather than
-/// being imposed.
+/// being imposed. Every gate then gets an independent random shift, its
+/// delay uses the exact (nonlinear) alpha-power slowdown, and each stage
+/// delay is the exact max over its outputs — no Gaussian assumptions.
+///
+/// This type holds the experiment (library, variation, output load,
+/// trial kernel). Trial blocks run on a [`crate::PreparedPipelineMc`]
+/// compiled from it; [`PipelineMc::sample_trial`] is the scalar v1
+/// reference those blocks are tested against.
 #[derive(Debug, Clone)]
 pub struct PipelineMc {
-    inner: NetlistMc,
+    lib: CellLibrary,
+    sampler: ProcessSampler,
+    output_load: f64,
     kernel: TrialKernel,
 }
 
 impl PipelineMc {
-    /// Creates a runner (v1 trial kernel).
+    /// Creates a runner (v1 trial kernel). A default grid is synthesized
+    /// when systematic variation is configured without one.
     pub fn new(lib: CellLibrary, variation: VariationConfig, grid: Option<SpatialGrid>) -> Self {
         PipelineMc {
-            inner: NetlistMc::new(lib, variation, grid),
+            lib,
+            sampler: ProcessSampler::new(variation, grid),
+            output_load: DEFAULT_OUTPUT_LOAD,
             kernel: TrialKernel::default(),
         }
     }
@@ -64,12 +76,13 @@ impl PipelineMc {
     ///
     /// Panics if `load < 0`.
     pub fn with_output_load(mut self, load: f64) -> Self {
-        self.inner = self.inner.with_output_load(load);
+        assert!(load >= 0.0, "output load must be non-negative");
+        self.output_load = load;
         self
     }
 
-    /// Selects the trial-kernel contract for block runs; prepared
-    /// runners compiled from this runner inherit it.
+    /// Selects the trial-kernel contract; prepared runners compiled from
+    /// this runner inherit it.
     pub fn with_kernel(mut self, kernel: TrialKernel) -> Self {
         self.kernel = kernel;
         self
@@ -80,21 +93,62 @@ impl PipelineMc {
         self.kernel
     }
 
-    /// Access to the single-netlist runner.
-    pub fn netlist_mc(&self) -> &NetlistMc {
-        &self.inner
+    /// The cell library.
+    pub fn library(&self) -> &CellLibrary {
+        &self.lib
     }
 
-    /// One pipeline trial: per-stage delays (including latch overhead)
+    /// The process sampler.
+    pub fn sampler(&self) -> &ProcessSampler {
+        &self.sampler
+    }
+
+    /// The configured primary-output load.
+    pub fn output_load(&self) -> f64 {
+        self.output_load
+    }
+
+    /// One stage's combinational delay on an existing die sample.
+    fn comb_delay_on_die(
+        &self,
+        netlist: &Netlist,
+        region: usize,
+        die: &DieSample,
+        rng: &mut StdRng,
+    ) -> f64 {
+        let shared = die.shared_dvth(if die.region_dvth.is_empty() {
+            0
+        } else {
+            region
+        });
+        let slowdown: Vec<f64> = netlist
+            .gates()
+            .iter()
+            .map(|g| {
+                let rand = self
+                    .sampler
+                    .sample_gate_random(rng, g.size * g.kind.mismatch_area());
+                self.lib.vth_slowdown_factor(shared + rand)
+            })
+            .collect();
+        let at = arrival_times(netlist, &self.lib, self.output_load, Some(&slowdown));
+        netlist
+            .outputs()
+            .iter()
+            .map(|o| at[o.0])
+            .fold(0.0, f64::max)
+    }
+
+    /// One v1 pipeline trial: per-stage delays (including latch overhead)
     /// and their max.
     pub fn sample_trial(&self, pipeline: &StagedPipeline, rng: &mut StdRng) -> (Vec<f64>, f64) {
-        let die = self.inner.sampler().sample_die(rng);
+        let die = self.sampler.sample_die(rng);
         let latch = pipeline.latch();
         let mut stage_delays = Vec::with_capacity(pipeline.stage_count());
         let mut max_d = f64::NEG_INFINITY;
         for (stage, pos) in pipeline.stages().iter().zip(pipeline.positions()) {
-            let region = self.inner.sampler().region_of(*pos);
-            let comb = self.inner.sample_delay_on_die(stage, region, &die, rng);
+            let region = self.sampler.region_of(*pos);
+            let comb = self.comb_delay_on_die(stage, region, &die, rng);
             let overhead =
                 latch.overhead_ps() + latch.overhead_sigma_ps() * sample_standard_normal(rng);
             let sd = comb + overhead;
@@ -104,68 +158,12 @@ impl PipelineMc {
         (stage_delays, max_d)
     }
 
-    /// Runs trials `trials.start..trials.end` of a campaign whose
-    /// per-trial RNG streams are defined by `seed_of(trial_index)`,
-    /// folding each trial into `stats`.
+    /// Runs a full campaign, keeping every pipeline-delay sample.
     ///
-    /// Every trial gets a fresh [`StdRng`] from its own seed, so each
-    /// trial's *samples* are identical however the campaign's trial
-    /// range is split into blocks; with a fixed block partition and
-    /// in-order merging this is what gives the sweep engine's worker
-    /// pool worker-count-independent output.
-    ///
-    /// Under the v2 kernel the block is delegated to a freshly compiled
-    /// [`crate::PreparedPipelineMc`] (which defines the v2 arithmetic),
-    /// so both runners produce the same v2 bytes per seed — the same
-    /// equivalence the v1 kernel maintains, at the cost of a per-call
-    /// compile. Hot paths should hold a prepared runner directly.
-    pub fn run_block(
-        &self,
-        pipeline: &StagedPipeline,
-        trials: std::ops::Range<u64>,
-        seed_of: impl Fn(u64) -> u64,
-        stats: &mut PipelineBlockStats,
-    ) {
-        match self.kernel {
-            TrialKernel::V1 => {
-                for t in trials {
-                    let mut rng = StdRng::seed_from_u64(seed_of(t));
-                    let (stages, maxd) = self.sample_trial(pipeline, &mut rng);
-                    stats.record(&stages, maxd);
-                }
-            }
-            TrialKernel::V2 | TrialKernel::V3 => {
-                let prepared = crate::PreparedPipelineMc::new(self, pipeline);
-                let mut ws = prepared.workspace();
-                prepared.run_block(&mut ws, trials, seed_of, stats);
-            }
-        }
-    }
-
-    /// Runs a trial range under a [`crate::TrialPlan`] — the plan-aware
-    /// variant of [`PipelineMc::run_block`]. The plain plan routes to
-    /// `run_block` itself (byte-frozen); any other plan delegates to a
-    /// freshly compiled [`crate::PreparedPipelineMc`], which defines the
-    /// plan arithmetic for both kernels — so the prepared and unprepared
-    /// runners produce the same plan bytes per seed. Hot paths should
-    /// hold a prepared runner directly.
-    pub fn run_block_plan(
-        &self,
-        pipeline: &StagedPipeline,
-        trials: std::ops::Range<u64>,
-        seed_of: impl Fn(u64) -> u64,
-        plan: crate::TrialPlan,
-        stats: &mut PipelineBlockStats,
-    ) {
-        if plan.is_plain() {
-            return self.run_block(pipeline, trials, seed_of, stats);
-        }
-        let prepared = crate::PreparedPipelineMc::new(self, pipeline);
-        let mut ws = prepared.workspace();
-        prepared.run_block_plan(&mut ws, trials, seed_of, plan, stats);
-    }
-
-    /// Runs a full campaign.
+    /// The trials are split into `config.threads` contiguous chunks, each
+    /// drawn from its own generator seeded from `config.seed` and the
+    /// chunk index, and joined in chunk order — so the result is a pure
+    /// function of `config`.
     ///
     /// # Panics
     ///
@@ -199,16 +197,17 @@ impl PipelineMc {
         let rem = config.trials % threads;
         let mut all = Vec::with_capacity(config.trials);
         let mut stage_stats = vec![RunningStats::new(); pipeline.stage_count()];
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..threads {
-                let n = chunk + usize::from(w < rem);
-                let seed = config
-                    .seed
-                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w as u64 + 1));
-                let run_chunk = &run_chunk;
-                handles.push(scope.spawn(move |_| run_chunk(seed, n)));
-            }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    let n = chunk + usize::from(w < rem);
+                    let seed = config
+                        .seed
+                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w as u64 + 1));
+                    let run_chunk = &run_chunk;
+                    scope.spawn(move || run_chunk(seed, n))
+                })
+                .collect();
             for h in handles {
                 let (samples, stats) = h.join().expect("MC worker panicked");
                 all.extend(samples);
@@ -216,8 +215,7 @@ impl PipelineMc {
                     acc.merge(s);
                 }
             }
-        })
-        .expect("MC thread scope failed");
+        });
         PipelineMcResult {
             pipeline: McResult::new(all),
             stage_stats,
@@ -228,11 +226,105 @@ impl PipelineMc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vardelay_circuit::generators::inverter_chain;
     use vardelay_circuit::LatchParams;
+    use vardelay_ssta::sta::nominal_delay;
+    use vardelay_ssta::SstaEngine;
     use vardelay_stats::{max_of, CorrelationMatrix};
 
     fn pipe(ns: usize, nl: usize) -> StagedPipeline {
         StagedPipeline::inverter_grid(ns, nl, 1.0, LatchParams::ideal())
+    }
+
+    /// One stage behind an ideal latch: the pipeline delay is exactly the
+    /// netlist's combinational delay, so single-netlist physics reads
+    /// straight off [`PipelineMc::run`].
+    fn single_stage(netlist: Netlist) -> StagedPipeline {
+        StagedPipeline::new("single", vec![netlist], LatchParams::ideal())
+    }
+
+    fn runner(var: VariationConfig) -> PipelineMc {
+        PipelineMc::new(CellLibrary::default(), var, None).with_output_load(1.0)
+    }
+
+    #[test]
+    fn zero_variation_reproduces_nominal_delay() {
+        let mc = runner(VariationConfig::none());
+        let c = inverter_chain(6, 1.0);
+        let nominal = nominal_delay(&c, mc.library(), 1.0);
+        let res = mc.run(&single_stage(c), &McConfig::quick(10, 1));
+        assert!((res.pipeline.mean() - nominal).abs() < 1e-9);
+        assert!(res.pipeline.sd() < 1e-12);
+    }
+
+    #[test]
+    fn mc_matches_ssta_for_random_variation() {
+        let var = VariationConfig::random_only(35.0);
+        let mc = runner(var);
+        let c = inverter_chain(10, 1.0);
+        let ssta = SstaEngine::new(CellLibrary::default(), var, None)
+            .with_output_load(1.0)
+            .stage_delay(&c, 0);
+        let res = mc.run(&single_stage(c), &McConfig::quick(20_000, 7));
+        let (mean, sd) = (res.pipeline.mean(), res.pipeline.sd());
+        // Paper §2.4: mean error < 0.2%, sd error < 3% (plus MC noise and
+        // the nonlinear-vs-linearized model gap).
+        assert!(
+            ((mean - ssta.mean()) / ssta.mean()).abs() < 0.01,
+            "mean {} vs {}",
+            mean,
+            ssta.mean()
+        );
+        assert!(
+            ((sd - ssta.sd()) / ssta.sd()).abs() < 0.08,
+            "sd {} vs {}",
+            sd,
+            ssta.sd()
+        );
+    }
+
+    #[test]
+    fn inter_die_shifts_whole_distribution() {
+        let mc = runner(VariationConfig::inter_only(40.0));
+        let res = mc.run(
+            &single_stage(inverter_chain(10, 1.0)),
+            &McConfig::quick(5_000, 11),
+        );
+        // All gates shift together: sd/mean should be close to the per-gate
+        // fractional sensitivity times sigma (no sqrt-N averaging).
+        let s = mc.library().delay_vth_sensitivity() * 0.040;
+        let v = res.pipeline.variability();
+        assert!((v - s).abs() < 0.2 * s, "variability {v} vs sens {s}");
+    }
+
+    /// The threaded runner is a pure function of its config: chunk `w`
+    /// holds `trials / threads` (+1 for the first `trials % threads`)
+    /// trials from its own seed, and chunks join in order.
+    #[test]
+    fn parallel_run_covers_all_trials_deterministically() {
+        let mc = runner(VariationConfig::random_only(35.0));
+        let p = single_stage(inverter_chain(5, 1.0));
+        let cfg = McConfig {
+            trials: 1000,
+            seed: 3,
+            threads: 3,
+        };
+        let a = mc.run(&p, &cfg);
+        let b = mc.run(&p, &cfg);
+        assert_eq!(a.pipeline.samples().len(), 1000);
+        assert_eq!(a.pipeline.samples(), b.pipeline.samples());
+        assert_eq!(a.stage_means(), b.stage_means());
+        let chunk_seed = |w: u64| 3u64.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w + 1));
+        let mut start = 0;
+        for (w, n) in [(0u64, 334usize), (1, 333), (2, 333)] {
+            let chunk = mc.run(&p, &McConfig::quick(n, chunk_seed(w)));
+            assert_eq!(
+                &a.pipeline.samples()[start..start + n],
+                chunk.pipeline.samples(),
+                "chunk {w} out of place"
+            );
+            start += n;
+        }
     }
 
     #[test]

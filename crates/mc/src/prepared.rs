@@ -1,21 +1,23 @@
-//! Allocation-free gate-level Monte-Carlo: the sweep engine's hot path.
+//! Allocation-free gate-level Monte-Carlo: the one runner behind every
+//! gate-level trial block (both sweep backends, the sizing loop's
+//! Monte-Carlo yield evaluator and campaign verification).
 //!
-//! [`PipelineMc::sample_trial`] allocates several vectors per trial (the
-//! die's region values, the per-gate slowdowns, the arrival-time array,
-//! the stage-delay vector) and re-evaluates every gate's load-dependent
-//! nominal delay from scratch. At sweep scale — millions of trials per
-//! scenario — that allocator traffic dominates. [`PreparedPipelineMc`]
-//! splits a trial into the parts that never change (topological order,
-//! loads, per-gate nominal delays, per-gate Pelgrom sigmas, stage
-//! regions — all precomputed once in `new`) and the parts that do (one
-//! [`TrialWorkspace`] of scratch buffers, reused across every trial a
-//! worker runs).
+//! [`PipelineMc::sample_trial`] — the scalar v1 reference — allocates
+//! several vectors per trial (the die's region values, the per-gate
+//! slowdowns, the arrival-time array, the stage-delay vector) and
+//! re-evaluates every gate's load-dependent nominal delay from scratch.
+//! [`PreparedPipelineMc`] splits a trial into the parts that never change
+//! (topological order, loads, per-gate nominal delays, per-gate Pelgrom
+//! sigmas, stage regions — all precomputed once in `new`) and the parts
+//! that do (one [`TrialWorkspace`] of scratch buffers, reused across
+//! every trial a worker runs).
 //!
-//! The RNG consumption order and floating-point arithmetic are kept
-//! **identical** to [`PipelineMc`], so for the same per-trial seeds the
-//! prepared runner produces bit-identical statistics — a property the
-//! test suite asserts, which is what lets the sweep engine offer it as a
-//! backend without weakening any determinism guarantee.
+//! Under the v1 kernel the RNG consumption order and floating-point
+//! arithmetic are kept **identical** to [`PipelineMc::sample_trial`], so
+//! for the same per-trial seeds a block produces the same statistics as
+//! recording `sample_trial` trial by trial — a property the test suite
+//! asserts. The v2 and v3 kernels are their own frozen contracts (see
+//! [`crate::kernel`]), folded through a [`LaneFold`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +31,7 @@ use vardelay_stats::batch::{
 };
 use vardelay_stats::normal::sample_standard_normal;
 
-use crate::kernel::{TrialKernel, V2_LANES, V3_LANES, V3_WIDTH};
+use crate::kernel::{LaneFold, TrialKernel, V3_LANES, V3_WIDTH};
 use crate::pipeline_mc::PipelineMc;
 use crate::results::PipelineBlockStats;
 use crate::strategy::{PlanSampler, TrialPlan};
@@ -158,10 +160,9 @@ impl PreparedPipelineMc {
     /// output load: loads and per-gate nominal delays are evaluated once
     /// here, never again per trial.
     pub fn new(mc: &PipelineMc, pipeline: &StagedPipeline) -> Self {
-        let inner = mc.netlist_mc();
-        let lib = inner.library().clone();
-        let sampler = inner.sampler().clone();
-        let output_load = inner.output_load();
+        let lib = mc.library().clone();
+        let sampler = mc.sampler().clone();
+        let output_load = mc.output_load();
         let stages = pipeline
             .stages()
             .iter()
@@ -819,13 +820,16 @@ impl PreparedPipelineMc {
     }
 
     /// Runs trials `trials.start..trials.end` with per-trial seeds
-    /// `seed_of(trial_index)`, folding each trial into `stats` — the
-    /// [`crate::PipelineMc::run_block`] contract, minus the per-trial
-    /// allocations. Under the v1 kernel this is bit-identical to
-    /// `PipelineMc` for the same seeds; under the v2 kernel trial `t`
-    /// is accumulated into lane `t % V2_LANES` and the lanes are folded
-    /// into `stats` in ascending lane order at the end of the call, so
-    /// v2 output is a pure function of the trial range — identical
+    /// `seed_of(trial_index)`, folding each trial into `stats`.
+    ///
+    /// Every trial gets a fresh [`StdRng`] from its own seed, so each
+    /// trial's samples are identical however the campaign's trial range
+    /// is split into blocks. Under the v1 kernel each trial is recorded
+    /// straight into `stats` — bit-identical to recording
+    /// [`PipelineMc::sample_trial`] for the same seeds. Under v2/v3 trial
+    /// `t` accumulates into lane `t % L` of a [`LaneFold`] whose lanes
+    /// fold into `stats` in ascending order at the end of the call, so
+    /// the output is a pure function of the trial range — identical
     /// however the campaign splits ranges across workers or shards, as
     /// long as the block boundaries themselves are fixed.
     ///
@@ -866,38 +870,24 @@ impl PreparedPipelineMc {
         };
         let warm = fingerprint(ws);
         match self.kernel {
-            TrialKernel::V1 => {
-                for t in trials {
+            TrialKernel::V1 | TrialKernel::V2 => {
+                self.kernel.fold_trials(stats, trials, |t, acc| {
                     let mut rng = StdRng::seed_from_u64(seed_of(t));
-                    let maxd = self.sample_trial(ws, &mut rng);
-                    stats.record(&ws.stage_delays, maxd);
+                    let maxd = if self.kernel == TrialKernel::V1 {
+                        self.sample_trial(ws, &mut rng)
+                    } else {
+                        self.sample_trial_v2(ws, &mut rng)
+                    };
+                    acc.record(&ws.stage_delays, maxd);
                     debug_assert_eq!(
                         fingerprint(ws),
                         warm,
                         "hot-path buffer reallocated mid-block"
                     );
-                }
-            }
-            TrialKernel::V2 => {
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V2_LANES).map(|_| stats.fresh_like()).collect();
-                for t in trials {
-                    let mut rng = StdRng::seed_from_u64(seed_of(t));
-                    let maxd = self.sample_trial_v2(ws, &mut rng);
-                    lanes[(t % V2_LANES as u64) as usize].record(&ws.stage_delays, maxd);
-                    debug_assert_eq!(
-                        fingerprint(ws),
-                        warm,
-                        "hot-path buffer reallocated mid-block"
-                    );
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
+                })
             }
             TrialKernel::V3 => {
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V3_LANES).map(|_| stats.fresh_like()).collect();
+                let mut lanes = LaneFold::<V3_LANES>::new(stats);
                 let mut seeds = [0u64; V3_WIDTH];
                 let mut t = trials.start;
                 while t < trials.end {
@@ -910,8 +900,8 @@ impl PreparedPipelineMc {
                         for s in 0..self.stages.len() {
                             ws.stage_delays[s] = ws.wide.sd[s * V3_WIDTH + i];
                         }
-                        let ti = t + i as u64;
-                        lanes[(ti % V3_LANES as u64) as usize]
+                        lanes
+                            .lane(t + i as u64)
                             .record(&ws.stage_delays, ws.wide.maxd[i]);
                     }
                     ws.reuses += w as u64;
@@ -922,9 +912,7 @@ impl PreparedPipelineMc {
                         "hot-path buffer reallocated mid-block"
                     );
                 }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
+                lanes.merge_into(stats);
             }
         }
     }
@@ -938,8 +926,8 @@ impl PreparedPipelineMc {
     /// each trial's modifications from a [`PlanSampler`] keyed on
     /// `seed_of(0)` — a pure function of the spec, so all workers,
     /// shards, and resumed runs agree — and otherwise preserves the
-    /// kernel contract unchanged (v1 scalar order; v2 lane folding, with
-    /// weighted sums merging by addition per lane).
+    /// kernel contract unchanged (v1 scalar order; v2/v3 lane folding,
+    /// with weighted sums merging by addition per lane).
     ///
     /// Weighted plans ([`TrialPlan::is_weighted`]) require `stats` built
     /// with [`PipelineBlockStats::with_weighted_tail`]; unweighted plans
@@ -969,41 +957,25 @@ impl PreparedPipelineMc {
         let mut ps = PlanSampler::new(plan, self.die_dims(), seed_of(0));
         let weighted = plan.is_weighted();
         match self.kernel {
-            TrialKernel::V1 => {
-                for t in trials {
+            TrialKernel::V1 | TrialKernel::V2 => {
+                self.kernel.fold_trials(stats, trials, |t, acc| {
                     let (seed_index, sign) = ps.prepare_trial(t);
                     let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
-                    let (maxd, w) =
-                        self.sample_trial_plan(ws, &mut rng, sign, ps.lead(), ps.shift());
-                    if weighted {
-                        stats.record_weighted(&ws.stage_delays, maxd, w);
+                    let (lead, shift) = (ps.lead(), ps.shift());
+                    let (maxd, w) = if self.kernel == TrialKernel::V1 {
+                        self.sample_trial_plan(ws, &mut rng, sign, lead, shift)
                     } else {
-                        stats.record(&ws.stage_delays, maxd);
-                    }
-                }
-            }
-            TrialKernel::V2 => {
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V2_LANES).map(|_| stats.fresh_like()).collect();
-                for t in trials {
-                    let (seed_index, sign) = ps.prepare_trial(t);
-                    let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
-                    let (maxd, w) =
-                        self.sample_trial_v2_plan(ws, &mut rng, sign, ps.lead(), ps.shift());
-                    let lane = &mut lanes[(t % V2_LANES as u64) as usize];
+                        self.sample_trial_v2_plan(ws, &mut rng, sign, lead, shift)
+                    };
                     if weighted {
-                        lane.record_weighted(&ws.stage_delays, maxd, w);
+                        acc.record_weighted(&ws.stage_delays, maxd, w);
                     } else {
-                        lane.record(&ws.stage_delays, maxd);
+                        acc.record(&ws.stage_delays, maxd);
                     }
-                }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
+                })
             }
             TrialKernel::V3 => {
-                let mut lanes: Vec<PipelineBlockStats> =
-                    (0..V3_LANES).map(|_| stats.fresh_like()).collect();
+                let mut lanes = LaneFold::<V3_LANES>::new(stats);
                 let mut t = trials.start;
                 while t < trials.end {
                     let w = ((trials.end - t) as usize).min(V3_WIDTH);
@@ -1012,8 +984,7 @@ impl PreparedPipelineMc {
                         for s in 0..self.stages.len() {
                             ws.stage_delays[s] = ws.wide.sd[s * V3_WIDTH + i];
                         }
-                        let ti = t + i as u64;
-                        let lane = &mut lanes[(ti % V3_LANES as u64) as usize];
+                        let lane = lanes.lane(t + i as u64);
                         if weighted {
                             lane.record_weighted(
                                 &ws.stage_delays,
@@ -1027,9 +998,7 @@ impl PreparedPipelineMc {
                     ws.reuses += w as u64;
                     t += w as u64;
                 }
-                for lane in &lanes {
-                    stats.merge(lane);
-                }
+                lanes.merge_into(stats);
             }
         }
     }
@@ -1049,9 +1018,24 @@ mod tests {
         t.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(17)
     }
 
-    /// The refactor's load-bearing property: the prepared runner is a
-    /// pure optimization of `PipelineMc::run_block` — same seeds, same
-    /// bits — under every variation mode.
+    /// The v1 reference block: [`PipelineMc::sample_trial`] recorded
+    /// trial by trial, each from its own seeded generator.
+    fn reference_block(
+        mc: &PipelineMc,
+        p: &StagedPipeline,
+        trials: std::ops::Range<u64>,
+        stats: &mut PipelineBlockStats,
+    ) {
+        for t in trials {
+            let mut rng = StdRng::seed_from_u64(seed_of(t));
+            let (stages, maxd) = mc.sample_trial(p, &mut rng);
+            stats.record(&stages, maxd);
+        }
+    }
+
+    /// The runner's load-bearing property: a v1 prepared block is a pure
+    /// optimization of the scalar `PipelineMc::sample_trial` loop — same
+    /// seeds, same bits — under every variation mode.
     #[test]
     fn prepared_matches_pipeline_mc_bit_for_bit() {
         for var in [
@@ -1066,7 +1050,7 @@ mod tests {
 
             let targets = [150.0, 200.0];
             let mut a = PipelineBlockStats::new(p.stage_count(), &targets);
-            mc.run_block(&p, 0..300, seed_of, &mut a);
+            reference_block(&mc, &p, 0..300, &mut a);
 
             let mut b = PipelineBlockStats::new(p.stage_count(), &targets);
             let mut ws = prepared.workspace();
@@ -1089,7 +1073,7 @@ mod tests {
         let target = 200.0;
         let est = prepared.yield_at_target(&mut ws, target, 0..500, seed_of);
         let mut want = PipelineBlockStats::new(p.stage_count(), &[target]);
-        mc.run_block(&p, 0..500, seed_of, &mut want);
+        reference_block(&mc, &p, 0..500, &mut want);
         assert_eq!(est, want.yield_estimate(0));
         assert!(est.lo <= est.value && est.value <= est.hi);
     }
@@ -1155,8 +1139,8 @@ mod tests {
     }
 
     /// The v2 contract in miniature: a block's v2 bytes are a pure
-    /// function of its trial range — fresh or reused workspace, prepared
-    /// or unprepared runner, the same range produces identical bits.
+    /// function of its trial range — fresh or reused workspace, the same
+    /// range produces identical bits.
     #[test]
     fn v2_block_bytes_are_a_pure_function_of_the_range() {
         for var in [
@@ -1180,11 +1164,6 @@ mod tests {
             let mut b = PipelineBlockStats::new(p.stage_count(), &targets);
             prepared.run_block(&mut ws, 256..512, seed_of, &mut b);
             assert_eq!(a, b, "v2 block not reproducible under {var:?}");
-
-            // The unprepared runner delegates to the same v2 arithmetic.
-            let mut c = PipelineBlockStats::new(p.stage_count(), &targets);
-            mc.run_block(&p, 256..512, seed_of, &mut c);
-            assert_eq!(a, c, "PipelineMc v2 diverged from prepared under {var:?}");
         }
     }
 
@@ -1244,9 +1223,9 @@ mod tests {
     }
 
     /// The v3 contract in miniature: a block's v3 bytes are a pure
-    /// function of its trial range — fresh or reused workspace, prepared
-    /// or unprepared runner, aligned or ragged range (a final pass
-    /// narrower than [`V3_WIDTH`] must not perturb any lane's bits).
+    /// function of its trial range — fresh or reused workspace, aligned
+    /// or ragged range (a final pass narrower than [`V3_WIDTH`] must not
+    /// perturb any lane's bits).
     #[test]
     fn v3_block_bytes_are_a_pure_function_of_the_range() {
         for var in [
@@ -1271,13 +1250,8 @@ mod tests {
 
             // Same range again, same (now warm) workspace.
             let mut b = PipelineBlockStats::new(p.stage_count(), &targets);
-            prepared.run_block(&mut ws, range.clone(), seed_of, &mut b);
+            prepared.run_block(&mut ws, range, seed_of, &mut b);
             assert_eq!(a, b, "v3 block not reproducible under {var:?}");
-
-            // The unprepared runner delegates to the same v3 arithmetic.
-            let mut c = PipelineBlockStats::new(p.stage_count(), &targets);
-            mc.run_block(&p, range, seed_of, &mut c);
-            assert_eq!(a, c, "PipelineMc v3 diverged from prepared under {var:?}");
         }
     }
 
@@ -1341,8 +1315,7 @@ mod tests {
     }
 
     /// The trial-plan contract in miniature: for every strategy × kernel,
-    /// a block's bytes are a pure function of the trial range, the
-    /// unprepared runner delegates to the same arithmetic, and the bytes
+    /// a block's bytes are a pure function of the trial range, and they
     /// are never the plain bytes.
     #[test]
     fn plan_blocks_are_reproducible_and_never_plain_bytes() {
@@ -1375,10 +1348,6 @@ mod tests {
                 let mut b = make();
                 prepared.run_block_plan(&mut ws, 0..256, seed_of, plan, &mut b);
                 assert_eq!(a, b, "{strategy:?}/{kernel:?} not reproducible");
-                // The unprepared runner produces the same plan bytes.
-                let mut c = make();
-                mc.run_block_plan(&p, 0..256, seed_of, plan, &mut c);
-                assert_eq!(a, c, "PipelineMc diverged for {strategy:?}/{kernel:?}");
                 // Never the plain bytes.
                 let mut plain = PipelineBlockStats::new(p.stage_count(), &targets);
                 prepared.run_block(&mut prepared.workspace(), 0..256, seed_of, &mut plain);
@@ -1463,7 +1432,7 @@ mod tests {
         large.run_block(&mut ws, 0..32, seed_of, &mut s2);
         let p = pipe(5, 9);
         let mut want = PipelineBlockStats::new(5, &[]);
-        mc.run_block(&p, 0..32, seed_of, &mut want);
+        reference_block(&mc, &p, 0..32, &mut want);
         assert_eq!(s2, want);
     }
 }

@@ -190,7 +190,7 @@ impl PipelineBlockStats {
     /// An empty accumulator with this block's exact configuration —
     /// stage count, targets, and histogram range/binning — so the result
     /// can always be [`PipelineBlockStats::merge`]d back into `self`.
-    /// This is how the v2 kernel builds its per-lane accumulators.
+    /// This is how [`crate::LaneFold`] builds its per-lane accumulators.
     pub fn fresh_like(&self) -> Self {
         PipelineBlockStats {
             pipeline: RunningStats::new(),
