@@ -470,31 +470,21 @@ fn main() {
 
     let plan_budget = 1_024u64;
     let plan_replicates = 24u64;
-    let mut yield_variance = |plan: Option<TrialPlan>| -> f64 {
+    let mut yield_variance = |strategy: TrialStrategy| -> f64 {
         let mut est = vardelay_stats::RunningStats::new();
         for r in 0..plan_replicates {
             let mut stats = PipelineBlockStats::new(plans_pipe.stage_count(), &[body_target]);
             let seed_of = |t: u64| counter_seed(0xA5ED ^ (r + 1), t);
-            match plan {
-                None => {
-                    prepared_plans.run_block(&mut ws_plans, 0..plan_budget, seed_of, &mut stats)
-                }
-                Some(p) => prepared_plans.run_block_plan(
-                    &mut ws_plans,
-                    0..plan_budget,
-                    seed_of,
-                    p,
-                    &mut stats,
-                ),
-            }
+            let plan = TrialPlan::of(strategy);
+            prepared_plans.run_block_plan(&mut ws_plans, 0..plan_budget, seed_of, plan, &mut stats);
             est.push(stats.yield_estimate(0).value);
         }
         est.sample_variance()
     };
-    let var_plain = yield_variance(None);
-    let vrf_antithetic = var_plain / yield_variance(Some(TrialPlan::of(TrialStrategy::Antithetic)));
-    let vrf_stratified = var_plain / yield_variance(Some(TrialPlan::of(TrialStrategy::Stratified)));
-    let vrf_sobol = var_plain / yield_variance(Some(TrialPlan::of(TrialStrategy::Sobol)));
+    let var_plain = yield_variance(TrialStrategy::Plain);
+    let vrf_antithetic = var_plain / yield_variance(TrialStrategy::Antithetic);
+    let vrf_stratified = var_plain / yield_variance(TrialStrategy::Stratified);
+    let vrf_sobol = var_plain / yield_variance(TrialStrategy::Sobol);
 
     // --- High-sigma: blockade resolves 99.9% where plain MC cannot. ---
     // Both estimators get the same 4k-trial budget against a target in

@@ -1,11 +1,18 @@
 //! The pipeline delay model: `T_P = max_i SD_i` (eqs. 3–6).
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vardelay_stats::{max_of, CorrelationMatrix, MultivariateNormal, Normal};
 
 use crate::error::CoreError;
 use crate::stage::StageDelay;
 use crate::yield_model;
+
+/// A trial-plan sampler of [`MultivariateNormal`] (one per trial kernel):
+/// `(rng, sign, lead, shift, scratch, out) -> weight`.
+type McDraw =
+    fn(&MultivariateNormal, &mut StdRng, f64, &[f64], f64, &mut Vec<f64>, &mut Vec<f64>) -> f64;
 
 /// A pipeline of Gaussian stage delays with a correlation matrix.
 ///
@@ -171,97 +178,62 @@ impl Pipeline {
 
     /// Monte-Carlo estimate of each stage's *criticality* — the probability
     /// that stage `i` is the slowest — by sampling the joint stage-delay
-    /// distribution. Deterministic given `seed`.
+    /// distribution ([`MultivariateNormal::sample_into_plan`] with the
+    /// identity overlay, which draws exactly what
+    /// [`MultivariateNormal::sample`] draws). Deterministic given `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `trials == 0` or the correlation matrix is not PSD.
     pub fn criticality_probabilities(&self, trials: usize, seed: u64) -> Vec<f64> {
-        assert!(trials > 0, "need at least one trial");
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let means: Vec<f64> = self.stages.iter().map(StageDelay::mean).collect();
-        let sds: Vec<f64> = self.stages.iter().map(StageDelay::sd).collect();
-        let mvn = MultivariateNormal::from_correlation(&means, &sds, &self.correlation)
-            .expect("stage correlation matrix must be PSD");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut wins = vec![0usize; self.stages.len()];
-        for _ in 0..trials {
-            let x = mvn.sample(&mut rng);
-            let (mut argmax, mut best) = (0usize, f64::NEG_INFINITY);
-            for (i, &v) in x.iter().enumerate() {
-                if v > best {
-                    best = v;
-                    argmax = i;
-                }
-            }
-            wins[argmax] += 1;
-        }
-        wins.into_iter().map(|w| w as f64 / trials as f64).collect()
+        self.criticality_with(trials, seed, MultivariateNormal::sample_into_plan)
     }
 
     /// The **v2-kernel** criticality estimator: the same win-counting
     /// Monte-Carlo as [`Pipeline::criticality_probabilities`], but the
     /// joint samples come from the batch pair-producing Box–Muller fill
-    /// ([`MultivariateNormal::sample_into_v2`]) and the per-trial
-    /// allocations are hoisted into reused buffers. Deterministic given
-    /// `seed`; *not* byte-compatible with the v1 estimator — selecting
-    /// it is a kernel-contract change.
+    /// ([`MultivariateNormal::sample_into_v2_plan`] with the identity
+    /// overlay) into reused buffers. Deterministic given `seed`; *not*
+    /// byte-compatible with the v1 estimator — selecting it is a
+    /// kernel-contract change.
     ///
     /// # Panics
     ///
     /// Panics if `trials == 0` or the correlation matrix is not PSD.
     pub fn criticality_probabilities_v2(&self, trials: usize, seed: u64) -> Vec<f64> {
-        assert!(trials > 0, "need at least one trial");
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let means: Vec<f64> = self.stages.iter().map(StageDelay::mean).collect();
-        let sds: Vec<f64> = self.stages.iter().map(StageDelay::sd).collect();
-        let mvn = MultivariateNormal::from_correlation(&means, &sds, &self.correlation)
-            .expect("stage correlation matrix must be PSD");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut wins = vec![0usize; self.stages.len()];
-        let mut z = Vec::new();
-        let mut x = Vec::new();
-        for _ in 0..trials {
-            mvn.sample_into_v2(&mut rng, &mut z, &mut x);
-            let (mut argmax, mut best) = (0usize, f64::NEG_INFINITY);
-            for (i, &v) in x.iter().enumerate() {
-                if v > best {
-                    best = v;
-                    argmax = i;
-                }
-            }
-            wins[argmax] += 1;
-        }
-        wins.into_iter().map(|w| w as f64 / trials as f64).collect()
+        self.criticality_with(trials, seed, MultivariateNormal::sample_into_v2_plan)
     }
 
-    /// The **v3-kernel** criticality estimator: identical win-counting
-    /// loop to [`Pipeline::criticality_probabilities_v2`], but the joint
-    /// samples come from the batch inverse-CDF fill
-    /// ([`MultivariateNormal::sample_into_v3`]) — the wide kernel's
-    /// normal source. Deterministic given `seed`; a distinct byte stream
-    /// from both v1 and v2 (win counts are integers, so the lane-fold
-    /// part of the v3 contract does not apply here).
+    /// The **v3-kernel** criticality estimator: the same win-counting
+    /// loop, but the joint samples come from the batch inverse-CDF fill
+    /// ([`MultivariateNormal::sample_into_v3_plan`] with the identity
+    /// overlay) — the wide kernel's normal source. Deterministic given
+    /// `seed`; a distinct byte stream from both v1 and v2 (win counts are
+    /// integers, so the lane-fold part of the v3 contract does not apply
+    /// here).
     ///
     /// # Panics
     ///
     /// Panics if `trials == 0` or the correlation matrix is not PSD.
     pub fn criticality_probabilities_v3(&self, trials: usize, seed: u64) -> Vec<f64> {
+        self.criticality_with(trials, seed, MultivariateNormal::sample_into_v3_plan)
+    }
+
+    /// The win-counting loop every criticality estimator shares: `draw`
+    /// (one kernel's trial-plan sampler, run with the identity overlay)
+    /// leaves one joint stage-delay sample in `x` per trial, and each
+    /// trial's slowest stage (first index on ties) scores a win.
+    fn criticality_with(&self, trials: usize, seed: u64, draw: McDraw) -> Vec<f64> {
         assert!(trials > 0, "need at least one trial");
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let means: Vec<f64> = self.stages.iter().map(StageDelay::mean).collect();
         let sds: Vec<f64> = self.stages.iter().map(StageDelay::sd).collect();
         let mvn = MultivariateNormal::from_correlation(&means, &sds, &self.correlation)
             .expect("stage correlation matrix must be PSD");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut wins = vec![0usize; self.stages.len()];
-        let mut z = Vec::new();
-        let mut x = Vec::new();
+        let (mut z, mut x) = (Vec::new(), Vec::new());
         for _ in 0..trials {
-            mvn.sample_into_v3(&mut rng, &mut z, &mut x);
+            draw(&mvn, &mut rng, 1.0, &[], 0.0, &mut z, &mut x);
             let (mut argmax, mut best) = (0usize, f64::NEG_INFINITY);
             for (i, &v) in x.iter().enumerate() {
                 if v > best {
@@ -373,6 +345,41 @@ mod tests {
         for (a, b) in v1.iter().zip(&v2) {
             assert!((a - b).abs() < 0.02, "v1 {a} vs v2 {b}");
         }
+    }
+
+    /// Criticality estimates are campaign inputs (the global sizing flow
+    /// ranks stages by them), so every kernel's exact outputs are pinned
+    /// on one correlated pipeline: a refactor of the estimator must
+    /// reproduce these fractions bit for bit.
+    #[test]
+    fn criticality_outputs_are_pinned_per_kernel() {
+        let p = Pipeline::equicorrelated(
+            vec![
+                sd(200.0, 6.0),
+                sd(203.0, 8.0),
+                sd(198.0, 5.0),
+                sd(201.0, 7.0),
+            ],
+            0.5,
+        )
+        .unwrap();
+        assert_eq!(
+            p.criticality_probabilities(3000, 11),
+            [
+                0.183,
+                0.4706666666666667,
+                0.06966666666666667,
+                0.27666666666666667
+            ]
+        );
+        assert_eq!(
+            p.criticality_probabilities_v2(3000, 11),
+            [0.19133333333333333, 0.466, 0.07066666666666667, 0.272]
+        );
+        assert_eq!(
+            p.criticality_probabilities_v3(3000, 11),
+            [0.18533333333333332, 0.463, 0.076, 0.27566666666666667]
+        );
     }
 
     #[test]

@@ -111,16 +111,24 @@ impl MvnSim {
         self
     }
 
-    /// Selects the trial-plan contract shaping the draws. The plain
-    /// plan routes through the exact historical code path (byte-inert);
-    /// any other plan shapes the leading stage dimensions per its own
-    /// frozen contract.
+    /// Selects the trial-plan contract shaping the draws: each plan
+    /// shapes the leading stage dimensions per its own frozen contract,
+    /// and the plain plan is the identity overlay (its bytes are the
+    /// historical plain bytes).
     pub fn with_plan(mut self, plan: TrialPlan) -> Self {
         self.plan = plan;
         self
     }
+}
 
-    fn run_block_plan(&self, scenario_id: u64, trials: Range<u64>, stats: &mut PipelineBlockStats) {
+impl Simulator for MvnSim {
+    fn run_block(
+        &self,
+        _ws: &mut TrialWorkspace,
+        scenario_id: u64,
+        trials: Range<u64>,
+        stats: &mut PipelineBlockStats,
+    ) {
         let mut ps = PlanSampler::new(self.plan, self.mvn.dim(), trial_seed(scenario_id, 0));
         let weighted = self.plan.is_weighted();
         let kernel = self.kernel;
@@ -130,6 +138,9 @@ impl MvnSim {
             let (seed_index, sign) = ps.prepare_trial(t);
             let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, seed_index));
             let (lead, shift) = (ps.lead(), ps.shift());
+            // v2 draws through the batch pair-producing Box–Muller fill,
+            // v3 through the batch inverse-CDF fill (the wide kernel's
+            // normal source).
             let w = match kernel {
                 TrialKernel::V1 => self
                     .mvn
@@ -151,36 +162,6 @@ impl MvnSim {
     }
 }
 
-impl Simulator for MvnSim {
-    fn run_block(
-        &self,
-        _ws: &mut TrialWorkspace,
-        scenario_id: u64,
-        trials: Range<u64>,
-        stats: &mut PipelineBlockStats,
-    ) {
-        if !self.plan.is_plain() {
-            return self.run_block_plan(scenario_id, trials, stats);
-        }
-        let kernel = self.kernel;
-        let mut z = Vec::new();
-        let mut x = Vec::new();
-        kernel.fold_trials(stats, trials, |t, acc| {
-            let mut rng = StdRng::seed_from_u64(trial_seed(scenario_id, t));
-            // v2 draws through the batch pair-producing Box–Muller fill,
-            // v3 through the batch inverse-CDF fill (the wide kernel's
-            // normal source).
-            match kernel {
-                TrialKernel::V1 => x = self.mvn.sample(&mut rng),
-                TrialKernel::V2 => self.mvn.sample_into_v2(&mut rng, &mut z, &mut x),
-                TrialKernel::V3 => self.mvn.sample_into_v3(&mut rng, &mut z, &mut x),
-            }
-            let maxd = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            acc.record(&x, maxd);
-        });
-    }
-}
-
 /// Gate-level trials on the allocation-free prepared path.
 pub struct GateLevelSim {
     prepared: PreparedPipelineMc,
@@ -196,8 +177,8 @@ impl GateLevelSim {
         }
     }
 
-    /// Selects the trial-plan contract (the plain plan keeps the exact
-    /// historical code path).
+    /// Selects the trial-plan contract (the plain plan is the identity
+    /// overlay on the one prepared runner).
     pub fn with_plan(mut self, plan: TrialPlan) -> Self {
         self.plan = plan;
         self

@@ -85,11 +85,7 @@ pub fn verify_yield_pooled(
                 .key(obs_key)
                 .value((end - start) as f64);
             let mut chunk = template.fresh_like();
-            if plan.is_plain() {
-                prepared.run_block(ws, start..end, &seed_of, &mut chunk);
-            } else {
-                prepared.run_block_plan(ws, start..end, &seed_of, plan, &mut chunk);
-            }
+            prepared.run_block_plan(ws, start..end, &seed_of, plan, &mut chunk);
             chunk
         },
         |k, chunk| {

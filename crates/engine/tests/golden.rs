@@ -15,6 +15,10 @@
 //!   `netlist`) under every trial kernel (v1/v2/v3) and every trial plan
 //!   (plain, antithetic, stratified, Sobol, blockade), on inverter-stage
 //!   and mixed random-logic pipelines under combined variation.
+//! * `moments_result.json` predates the single trial-plan path (plain
+//!   Monte-Carlo run as the identity plan): correlated moment-form
+//!   pipelines on the joint-Gaussian sampler under every trial kernel
+//!   (v1/v2/v3) and every trial plan.
 //!
 //! To regenerate after an *intentional* experiment change (new spec
 //! fields, different defaults — anything that legitimately changes the
@@ -27,6 +31,8 @@
 //!     --out crates/engine/tests/golden/sweep_result.json
 //! cargo run --release -- sweep crates/engine/tests/golden/gate_level_spec.json \
 //!     --out crates/engine/tests/golden/gate_level_result.json
+//! cargo run --release -- sweep crates/engine/tests/golden/moments_spec.json \
+//!     --out crates/engine/tests/golden/moments_result.json
 //! ```
 //!
 //! and say so in the PR — a diff in these fixtures is an experiment
@@ -41,6 +47,8 @@ const SWEEP_SPEC: &str = include_str!("golden/sweep_spec.json");
 const SWEEP_GOLDEN: &str = include_str!("golden/sweep_result.json");
 const GATE_LEVEL_SPEC: &str = include_str!("golden/gate_level_spec.json");
 const GATE_LEVEL_GOLDEN: &str = include_str!("golden/gate_level_result.json");
+const MOMENTS_SPEC: &str = include_str!("golden/moments_spec.json");
+const MOMENTS_GOLDEN: &str = include_str!("golden/moments_result.json");
 
 #[test]
 fn campaign_result_bytes_are_frozen() {
@@ -64,6 +72,7 @@ fn sweep_result_bytes_are_frozen() {
     for (spec, golden) in [
         (SWEEP_SPEC, SWEEP_GOLDEN),
         (GATE_LEVEL_SPEC, GATE_LEVEL_GOLDEN),
+        (MOMENTS_SPEC, MOMENTS_GOLDEN),
     ] {
         let sweep = Sweep::from_json(spec).expect("golden sweep spec parses");
         for workers in [1usize, 3] {
@@ -72,8 +81,8 @@ fn sweep_result_bytes_are_frozen() {
             assert_eq!(
                 res.to_json(),
                 golden,
-                "sweep '{}' bytes drifted at {workers} workers — the SSTA analysis or the \
-                 gate-level Monte-Carlo is no longer a pure optimization (see this test's \
+                "sweep '{}' bytes drifted at {workers} workers — the SSTA analysis or a \
+                 Monte-Carlo sampler is no longer a pure optimization (see this test's \
                  module docs before regenerating)",
                 sweep.name
             );

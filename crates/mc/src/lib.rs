@@ -22,9 +22,10 @@
 //!   slowdown) and v3 (wide lane-major passes + FMA-fused inverse-CDF
 //!   fill), with the lane-folded statistics of v2/v3 in one
 //!   [`LaneFold`].
-//! * [`strategy`] — the versioned trial-plan contracts (antithetic,
-//!   stratified, Sobol QMC, statistical blockade): how the counter-based
-//!   streams are shaped into draws, orthogonal to the kernel.
+//! * [`strategy`] — the versioned trial-plan contracts (plain as the
+//!   identity plan, antithetic, stratified, Sobol QMC, statistical
+//!   blockade): how the counter-based streams are shaped into draws,
+//!   orthogonal to the kernel.
 //!
 //! # Example
 //!

@@ -12,11 +12,16 @@
 //! that do (one [`TrialWorkspace`] of scratch buffers, reused across
 //! every trial a worker runs).
 //!
-//! Under the v1 kernel the RNG consumption order and floating-point
-//! arithmetic are kept **identical** to [`PipelineMc::sample_trial`], so
-//! for the same per-trial seeds a block produces the same statistics as
-//! recording `sample_trial` trial by trial — a property the test suite
-//! asserts. The v2 and v3 kernels are their own frozen contracts (see
+//! Each kernel has exactly one trial implementation, and every trial
+//! plan runs through it: a [`PlanSampler`] hands each trial its seed
+//! index, sign, lead overrides and mean shift, and plain Monte-Carlo is
+//! the identity overlay (sign `1.0`, no overrides, shift `0`), which
+//! changes no bit of the unmodified stream. Under the v1 kernel and the
+//! plain plan the RNG consumption order and floating-point arithmetic
+//! are **identical** to [`PipelineMc::sample_trial`], so for the same
+//! per-trial seeds a block produces the same statistics as recording
+//! `sample_trial` trial by trial — a property the test suite asserts.
+//! The v2 and v3 kernels are their own frozen contracts (see
 //! [`crate::kernel`]), folded through a [`LaneFold`].
 
 use rand::rngs::StdRng;
@@ -119,7 +124,7 @@ struct WideScratch {
     sd: Vec<f64>,
     /// Per-lane pipeline delays (max over stages).
     maxd: [f64; V3_WIDTH],
-    /// Per-lane importance weights (plan path only).
+    /// Per-lane importance weights (1.0 unless the plan reweights).
     weight: [f64; V3_WIDTH],
     /// Per-lane generators parked after the die/latch draws so the
     /// gate-normal rows can be filled with interleaved streams
@@ -342,116 +347,6 @@ impl PreparedPipelineMc {
         ws
     }
 
-    /// One trial into the workspace; returns the pipeline delay. The
-    /// per-stage delays are left in the workspace's stage buffer.
-    fn sample_trial(&self, ws: &mut TrialWorkspace, rng: &mut StdRng) -> f64 {
-        self.sampler.sample_die_into(rng, &mut ws.z, &mut ws.die);
-        let mut max_d = f64::NEG_INFINITY;
-        for (s, stage) in self.stages.iter().enumerate() {
-            let shared = ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                0
-            } else {
-                stage.region
-            });
-            ws.slowdown.clear();
-            if stage.rand_sigma.is_empty() {
-                let f = self.lib.vth_slowdown_factor(shared);
-                ws.slowdown.resize(stage.netlist.gate_count(), f);
-            } else {
-                ws.slowdown.extend(stage.rand_sigma.iter().map(|&sig| {
-                    let rand = sig * sample_standard_normal(rng);
-                    self.lib.vth_slowdown_factor(shared + rand)
-                }));
-            }
-            arrival_times_into(
-                &stage.netlist,
-                &stage.nominal,
-                Some(&ws.slowdown),
-                &mut ws.at,
-            );
-            let comb = stage
-                .netlist
-                .outputs()
-                .iter()
-                .map(|o| ws.at[o.0])
-                .fold(0.0, f64::max);
-            let overhead = self.latch.overhead_ps()
-                + self.latch.overhead_sigma_ps() * sample_standard_normal(rng);
-            let sd = comb + overhead;
-            max_d = max_d.max(sd);
-            ws.stage_delays[s] = sd;
-        }
-        ws.reuses += 1;
-        max_d
-    }
-
-    /// One **v2-kernel** trial into the workspace; returns the pipeline
-    /// delay. Same spec semantics as [`Self::sample_trial`] — same seed
-    /// derivation, same component model, same deterministic timing — but
-    /// batch-shaped arithmetic: the die's normals come from one pair-
-    /// producing Box–Muller fill, each stage's per-gate normals from a
-    /// structure-of-arrays inverse-CDF fill (one uniform per gate), the
-    /// slowdown factor from the frozen polynomial kernels, and the latch
-    /// overhead normal is drawn **only when the latch has jitter** (v1
-    /// draws and discards it when sigma is zero).
-    fn sample_trial_v2(&self, ws: &mut TrialWorkspace, rng: &mut StdRng) -> f64 {
-        self.sampler.sample_die_into_v2(rng, &mut ws.z, &mut ws.die);
-        // One up-front inverse-CDF fill covers every stage's per-gate
-        // normals (one u64 each, stage order). Each normal depends only
-        // on its own u64, so the values are identical to per-stage fills
-        // — batching just amortizes the fill's fixed costs. Latch
-        // overhead draws (below) consume the RNG *after* this block.
-        ws.normals.resize(self.rand_total, 0.0);
-        fill_standard_normals_inv_cdf(rng, &mut ws.normals);
-        let latch_sigma = self.latch.overhead_sigma_ps();
-        let mut max_d = f64::NEG_INFINITY;
-        let mut rand_off = 0usize;
-        for (s, stage) in self.stages.iter().enumerate() {
-            let shared = ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                0
-            } else {
-                stage.region
-            });
-            if stage.rand_sigma.is_empty() {
-                ws.slowdown.clear();
-                let f = self.lib.vth_slowdown_factor_v2(shared);
-                ws.slowdown.resize(stage.netlist.gate_count(), f);
-            } else {
-                let gates = stage.rand_sigma.len();
-                let z = &ws.normals[rand_off..rand_off + gates];
-                rand_off += gates;
-                ws.slowdown.resize(gates, 0.0);
-                self.lib.vth_slowdown_factors_v2_into(
-                    shared,
-                    &stage.rand_sigma,
-                    z,
-                    &mut ws.slowdown,
-                );
-            }
-            arrival_times_into(
-                &stage.netlist,
-                &stage.nominal,
-                Some(&ws.slowdown),
-                &mut ws.at,
-            );
-            let comb = stage
-                .netlist
-                .outputs()
-                .iter()
-                .map(|o| ws.at[o.0])
-                .fold(0.0, f64::max);
-            let mut overhead = self.latch.overhead_ps();
-            if latch_sigma != 0.0 {
-                overhead += latch_sigma * sample_standard_normal_inv_cdf(rng);
-            }
-            let sd = comb + overhead;
-            max_d = max_d.max(sd);
-            ws.stage_delays[s] = sd;
-        }
-        ws.reuses += 1;
-        max_d
-    }
-
     /// Number of die-level standard-normal dims one trial draws (the
     /// inter-die normal plus the correlated-region normals) — the dims a
     /// stratified or Sobol trial plan overrides.
@@ -459,11 +354,14 @@ impl PreparedPipelineMc {
         usize::from(self.sampler.variation().has_inter()) + self.sampler.region_value_count()
     }
 
-    /// One **plan-modified** v1 trial: [`Self::sample_trial`] with the
-    /// strategy overlay (antithetic `sign` on every produced normal,
-    /// `lead` overrides on the die-level dims, inter-die mean `shift`).
-    /// Returns `(pipeline delay, importance weight)`.
-    fn sample_trial_plan(
+    /// One **v1-kernel** trial into the workspace under a trial plan's
+    /// overlay (antithetic `sign` on every produced normal, `lead`
+    /// overrides on the die-level dims, inter-die mean `shift`). Returns
+    /// `(pipeline delay, importance weight)`; the per-stage delays are
+    /// left in the workspace's stage buffer. Under the identity overlay
+    /// `(1.0, &[], 0.0)` the RNG consumption order and the arithmetic
+    /// are those of [`PipelineMc::sample_trial`], bit for bit.
+    fn sample_trial(
         &self,
         ws: &mut TrialWorkspace,
         rng: &mut StdRng,
@@ -513,10 +411,17 @@ impl PreparedPipelineMc {
         (max_d, weight)
     }
 
-    /// One **plan-modified** v2 trial: [`Self::sample_trial_v2`] with
-    /// the strategy overlay. Returns `(pipeline delay, importance
-    /// weight)`.
-    fn sample_trial_v2_plan(
+    /// One **v2-kernel** trial into the workspace under a trial plan's
+    /// overlay; returns `(pipeline delay, importance weight)`. Same spec
+    /// semantics as [`Self::sample_trial`] — same seed derivation, same
+    /// component model, same deterministic timing — but batch-shaped
+    /// arithmetic: the die's normals come from one pair-producing
+    /// Box–Muller fill, every stage's per-gate normals from one up-front
+    /// structure-of-arrays inverse-CDF fill (one uniform per gate), the
+    /// slowdown factor from the frozen polynomial kernels, and the latch
+    /// overhead normal is drawn **only when the latch has jitter** (v1
+    /// draws and discards it when sigma is zero).
+    fn sample_trial_v2(
         &self,
         ws: &mut TrialWorkspace,
         rng: &mut StdRng,
@@ -527,6 +432,11 @@ impl PreparedPipelineMc {
         let weight =
             self.sampler
                 .sample_die_into_v2_plan(rng, sign, lead, shift, &mut ws.z, &mut ws.die);
+        // One up-front inverse-CDF fill covers every stage's per-gate
+        // normals (one u64 each, stage order). Each normal depends only
+        // on its own u64, so the values are identical to per-stage fills
+        // — batching just amortizes the fill's fixed costs. Latch
+        // overhead draws (below) consume the RNG *after* this block.
         ws.normals.resize(self.rand_total, 0.0);
         fill_standard_normals_inv_cdf(rng, &mut ws.normals);
         if sign != 1.0 {
@@ -583,63 +493,31 @@ impl PreparedPipelineMc {
         (max_d, weight)
     }
 
-    /// Fill phase of one **v3-kernel** pass of `seeds.len() <= V3_WIDTH`
-    /// trials, then the shared compute phase. Leaves lane `i`'s stage
-    /// delays in `ws.wide.sd[s * V3_WIDTH + i]` and its pipeline delay
-    /// in `ws.wide.maxd[i]`.
+    /// Fill phase of one **v3-kernel** pass over trials
+    /// `start..start + w` (`w <= V3_WIDTH`) under a trial plan's overlay
+    /// (antithetic `sign` on every produced normal, `lead` overrides on
+    /// the die-level dims, inter-die mean `shift`), then the shared
+    /// compute phase. Leaves lane `i`'s stage delays in
+    /// `ws.wide.sd[s * V3_WIDTH + i]`, its pipeline delay in
+    /// `ws.wide.maxd[i]` and its importance weight in
+    /// `ws.wide.weight[i]`. `ps` is advanced in ascending trial order,
+    /// as the [`PlanSampler`] contract requires.
     ///
     /// The v3 RNG consumption order per trial is part of the contract
     /// and deliberately differs from v2: die draws (batch inverse-CDF,
     /// not Box–Muller), then **all** latch-jitter normals up front (one
     /// per stage, only when the latch has jitter; v2 interleaves them
     /// after each stage), then every gate normal in one FMA-fused batch
-    /// inverse-CDF fill ([`fill_standard_normals_inv_cdf_fma`]). The
-    /// fused fill consumes the RNG exactly like the v2 fill (one `u64`
-    /// per normal, tail fixups re-rolling per element) but evaluates the
-    /// quantile through `mul_add`-fused Acklam polynomials — correctly
-    /// rounded on every target, so its bytes are stable across dispatch
-    /// targets yet never interchangeable with v2's. Each lane consumes
-    /// only its own seeded RNG, so a trial's values are a pure function
-    /// of its index — pass grouping (including the ragged final pass)
-    /// cannot reach the result bytes.
-    fn sample_pass_v3(&self, ws: &mut TrialWorkspace, seeds: &[u64]) {
-        debug_assert!(seeds.len() <= V3_WIDTH);
-        let latch_sigma = self.latch.overhead_sigma_ps();
-        ws.wide.rngs.clear();
-        for (lane, &seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            self.sampler
-                .sample_die_into_v3(&mut rng, &mut ws.z, &mut ws.die);
-            for (s, stage) in self.stages.iter().enumerate() {
-                ws.wide.shared[s * V3_WIDTH + lane] =
-                    ws.die.shared_dvth(if ws.die.region_dvth.is_empty() {
-                        0
-                    } else {
-                        stage.region
-                    });
-            }
-            if latch_sigma != 0.0 {
-                for s in 0..self.stages.len() {
-                    ws.wide.latch[s * V3_WIDTH + lane] = sample_standard_normal_inv_cdf(&mut rng);
-                }
-            }
-            ws.wide.rngs.push(rng);
-        }
-        let wide = &mut ws.wide;
-        fill_standard_normals_inv_cdf_fma_multi(
-            &mut wide.rngs,
-            &mut wide.z_rows[..seeds.len() * self.rand_total],
-        );
-        self.compute_pass_v3(ws, seeds.len());
-    }
-
-    /// Plan-modified fill phase of one v3 pass: [`Self::sample_pass_v3`]
-    /// with the strategy overlay (antithetic `sign` on every produced
-    /// normal, `lead` overrides on the die-level dims, inter-die mean
-    /// `shift`). Lane `i`'s importance weight lands in
-    /// `ws.wide.weight[i]`. `ps` is advanced in ascending trial order,
-    /// as the [`PlanSampler`] contract requires.
-    fn sample_pass_v3_plan(
+    /// inverse-CDF fill ([`fill_standard_normals_inv_cdf_fma_multi`]).
+    /// The fused fill consumes the RNG exactly like the v2 fill (one
+    /// `u64` per normal, tail fixups re-rolling per element) but
+    /// evaluates the quantile through `mul_add`-fused Acklam polynomials
+    /// — correctly rounded on every target, so its bytes are stable
+    /// across dispatch targets yet never interchangeable with v2's. Each
+    /// lane consumes only its own seeded RNG, so a trial's values are a
+    /// pure function of its index — pass grouping (including the ragged
+    /// final pass) cannot reach the result bytes.
+    fn sample_pass_v3(
         &self,
         ws: &mut TrialWorkspace,
         ps: &mut PlanSampler,
@@ -819,23 +697,13 @@ impl PreparedPipelineMc {
         stats.yield_estimate(0)
     }
 
-    /// Runs trials `trials.start..trials.end` with per-trial seeds
-    /// `seed_of(trial_index)`, folding each trial into `stats`.
-    ///
-    /// Every trial gets a fresh [`StdRng`] from its own seed, so each
-    /// trial's samples are identical however the campaign's trial range
-    /// is split into blocks. Under the v1 kernel each trial is recorded
-    /// straight into `stats` — bit-identical to recording
-    /// [`PipelineMc::sample_trial`] for the same seeds. Under v2/v3 trial
-    /// `t` accumulates into lane `t % L` of a [`LaneFold`] whose lanes
-    /// fold into `stats` in ascending order at the end of the call, so
-    /// the output is a pure function of the trial range — identical
-    /// however the campaign splits ranges across workers or shards, as
-    /// long as the block boundaries themselves are fixed.
+    /// Runs trials `trials.start..trials.end` under the plain plan:
+    /// [`Self::run_block_plan`] with [`TrialPlan::plain`].
     ///
     /// # Panics
     ///
-    /// Panics if `stats` was built for a different stage count.
+    /// Panics if `stats` was built for a different stage count or with a
+    /// weighted tail.
     pub fn run_block(
         &self,
         ws: &mut TrialWorkspace,
@@ -843,6 +711,49 @@ impl PreparedPipelineMc {
         seed_of: impl Fn(u64) -> u64,
         stats: &mut PipelineBlockStats,
     ) {
+        self.run_block_plan(ws, trials, seed_of, TrialPlan::plain(), stats);
+    }
+
+    /// Runs trials `trials.start..trials.end` under `plan`, with per-trial
+    /// seeds `seed_of(trial_index)`, folding each trial into `stats`.
+    ///
+    /// Every trial gets a fresh [`StdRng`] from its own seed (or, under
+    /// the antithetic plan, its pair's seed), so each trial's samples are
+    /// identical however the campaign's trial range is split into
+    /// blocks. The trial's modifications come from a [`PlanSampler`]
+    /// keyed on `seed_of(0)` — a pure function of the spec, so all
+    /// workers, shards and resumed runs agree; the plain plan is the
+    /// identity overlay. Under the v1 kernel each trial is recorded
+    /// straight into `stats` — under the plain plan bit-identical to
+    /// recording [`PipelineMc::sample_trial`] for the same seeds. Under
+    /// v2/v3 trial `t` accumulates into lane `t % L` of a [`LaneFold`]
+    /// whose lanes fold into `stats` in ascending order at the end of the
+    /// call (weighted sums merging by addition per lane), so the output
+    /// is a pure function of the trial range — identical however the
+    /// campaign splits ranges across workers or shards, as long as the
+    /// block boundaries themselves are fixed.
+    ///
+    /// Weighted plans ([`TrialPlan::is_weighted`]) require `stats` built
+    /// with [`PipelineBlockStats::with_weighted_tail`]; unweighted plans
+    /// require it absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stats` was built for a different stage count or its
+    /// weighted-tail configuration does not match the plan.
+    pub fn run_block_plan(
+        &self,
+        ws: &mut TrialWorkspace,
+        trials: std::ops::Range<u64>,
+        seed_of: impl Fn(u64) -> u64,
+        plan: TrialPlan,
+        stats: &mut PipelineBlockStats,
+    ) {
+        assert_eq!(
+            stats.has_weighted_tail(),
+            plan.is_weighted(),
+            "stats weighted-tail configuration does not match the plan"
+        );
         self.prepare_workspace(ws);
         // The zero-allocation contract, made checkable: after the
         // workspace is warm, no buffer may move for the rest of the
@@ -869,91 +780,6 @@ impl PreparedPipelineMc {
             )
         };
         let warm = fingerprint(ws);
-        match self.kernel {
-            TrialKernel::V1 | TrialKernel::V2 => {
-                self.kernel.fold_trials(stats, trials, |t, acc| {
-                    let mut rng = StdRng::seed_from_u64(seed_of(t));
-                    let maxd = if self.kernel == TrialKernel::V1 {
-                        self.sample_trial(ws, &mut rng)
-                    } else {
-                        self.sample_trial_v2(ws, &mut rng)
-                    };
-                    acc.record(&ws.stage_delays, maxd);
-                    debug_assert_eq!(
-                        fingerprint(ws),
-                        warm,
-                        "hot-path buffer reallocated mid-block"
-                    );
-                })
-            }
-            TrialKernel::V3 => {
-                let mut lanes = LaneFold::<V3_LANES>::new(stats);
-                let mut seeds = [0u64; V3_WIDTH];
-                let mut t = trials.start;
-                while t < trials.end {
-                    let w = ((trials.end - t) as usize).min(V3_WIDTH);
-                    for (i, s) in seeds[..w].iter_mut().enumerate() {
-                        *s = seed_of(t + i as u64);
-                    }
-                    self.sample_pass_v3(ws, &seeds[..w]);
-                    for i in 0..w {
-                        for s in 0..self.stages.len() {
-                            ws.stage_delays[s] = ws.wide.sd[s * V3_WIDTH + i];
-                        }
-                        lanes
-                            .lane(t + i as u64)
-                            .record(&ws.stage_delays, ws.wide.maxd[i]);
-                    }
-                    ws.reuses += w as u64;
-                    t += w as u64;
-                    debug_assert_eq!(
-                        fingerprint(ws),
-                        warm,
-                        "hot-path buffer reallocated mid-block"
-                    );
-                }
-                lanes.merge_into(stats);
-            }
-        }
-    }
-
-    /// Runs a trial range under a [`TrialPlan`] — the plan-aware variant
-    /// of [`Self::run_block`].
-    ///
-    /// The **plain** plan routes to [`Self::run_block`] itself (the
-    /// byte-frozen path: plain bytes are contractually inert whether or
-    /// not the plan machinery is compiled in). A non-plain plan derives
-    /// each trial's modifications from a [`PlanSampler`] keyed on
-    /// `seed_of(0)` — a pure function of the spec, so all workers,
-    /// shards, and resumed runs agree — and otherwise preserves the
-    /// kernel contract unchanged (v1 scalar order; v2/v3 lane folding,
-    /// with weighted sums merging by addition per lane).
-    ///
-    /// Weighted plans ([`TrialPlan::is_weighted`]) require `stats` built
-    /// with [`PipelineBlockStats::with_weighted_tail`]; unweighted plans
-    /// require it absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stats` was built for a different stage count or its
-    /// weighted-tail configuration does not match the plan.
-    pub fn run_block_plan(
-        &self,
-        ws: &mut TrialWorkspace,
-        trials: std::ops::Range<u64>,
-        seed_of: impl Fn(u64) -> u64,
-        plan: TrialPlan,
-        stats: &mut PipelineBlockStats,
-    ) {
-        if plan.is_plain() {
-            return self.run_block(ws, trials, seed_of, stats);
-        }
-        assert_eq!(
-            stats.has_weighted_tail(),
-            plan.is_weighted(),
-            "stats weighted-tail configuration does not match the plan"
-        );
-        self.prepare_workspace(ws);
         let mut ps = PlanSampler::new(plan, self.die_dims(), seed_of(0));
         let weighted = plan.is_weighted();
         match self.kernel {
@@ -963,15 +789,20 @@ impl PreparedPipelineMc {
                     let mut rng = StdRng::seed_from_u64(seed_of(seed_index));
                     let (lead, shift) = (ps.lead(), ps.shift());
                     let (maxd, w) = if self.kernel == TrialKernel::V1 {
-                        self.sample_trial_plan(ws, &mut rng, sign, lead, shift)
+                        self.sample_trial(ws, &mut rng, sign, lead, shift)
                     } else {
-                        self.sample_trial_v2_plan(ws, &mut rng, sign, lead, shift)
+                        self.sample_trial_v2(ws, &mut rng, sign, lead, shift)
                     };
                     if weighted {
                         acc.record_weighted(&ws.stage_delays, maxd, w);
                     } else {
                         acc.record(&ws.stage_delays, maxd);
                     }
+                    debug_assert_eq!(
+                        fingerprint(ws),
+                        warm,
+                        "hot-path buffer reallocated mid-block"
+                    );
                 })
             }
             TrialKernel::V3 => {
@@ -979,7 +810,7 @@ impl PreparedPipelineMc {
                 let mut t = trials.start;
                 while t < trials.end {
                     let w = ((trials.end - t) as usize).min(V3_WIDTH);
-                    self.sample_pass_v3_plan(ws, &mut ps, t, w, &seed_of);
+                    self.sample_pass_v3(ws, &mut ps, t, w, &seed_of);
                     for i in 0..w {
                         for s in 0..self.stages.len() {
                             ws.stage_delays[s] = ws.wide.sd[s * V3_WIDTH + i];
@@ -997,6 +828,11 @@ impl PreparedPipelineMc {
                     }
                     ws.reuses += w as u64;
                     t += w as u64;
+                    debug_assert_eq!(
+                        fingerprint(ws),
+                        warm,
+                        "hot-path buffer reallocated mid-block"
+                    );
                 }
                 lanes.merge_into(stats);
             }

@@ -14,6 +14,11 @@
 //! stage normals of the moments backend) and leaves the rest of the
 //! stream to the plain counter-based RNG:
 //!
+//! * **plain** — the identity plan: every trial replays its own seed
+//!   with sign `1.0`, no lead overrides and no mean shift. Every
+//!   sampler runs plain Monte-Carlo through the same plan-aware code as
+//!   the other plans; the identity overlay changes no bit of the
+//!   unmodified stream, so plain bytes are the historical bytes.
 //! * **antithetic** — trial `2k+1` replays trial `2k`'s stream with
 //!   every produced standard normal negated. Pairs never straddle the
 //!   engine's 256-trial blocks (the block size is even), so block
@@ -96,7 +101,8 @@ pub struct TrialPlan {
 }
 
 impl TrialPlan {
-    /// The plain plan — the byte-frozen pre-plan behavior.
+    /// The plain plan — the identity plan, whose bytes are the frozen
+    /// pre-plan behavior.
     pub fn plain() -> Self {
         TrialPlan {
             strategy: TrialStrategy::Plain,
@@ -112,9 +118,8 @@ impl TrialPlan {
         }
     }
 
-    /// Whether this is the plain plan (callers must route to the
-    /// byte-frozen plain code path, not to a no-op modification —
-    /// the plain bytes are contractually inert).
+    /// Whether this is the plain plan (the identity plan: samplers run
+    /// it like any other plan, and it modifies nothing).
     pub fn is_plain(&self) -> bool {
         self.strategy == TrialStrategy::Plain
     }
@@ -132,8 +137,9 @@ impl Default for TrialPlan {
 }
 
 /// Per-block driver deriving each trial's stream modifications under a
-/// non-plain plan: the seed index to replay, the global sign, the
-/// leading-dim overrides, and the mean shift.
+/// plan: the seed index to replay, the global sign, the leading-dim
+/// overrides, and the mean shift. Under the plain plan these are the
+/// identity (`(t, 1.0)`, no overrides, shift `0`).
 ///
 /// Everything it produces is a pure function of
 /// `(plan, stream key, global trial index)` — the stream key itself is
@@ -159,13 +165,7 @@ impl PlanSampler {
     /// [`SOBOL_MAX_DIMS`]. `seed0` must be the runner's counter seed for
     /// trial index 0 (`seed_of(0)`), from which the plan's scramble /
     /// permutation / jitter streams are derived.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the plain plan: plain runs the byte-frozen unmodified
-    /// path and must never be driven through a sampler.
     pub fn new(plan: TrialPlan, dims: usize, seed0: u64) -> Self {
-        assert!(!plan.is_plain(), "plain plan has no sampler");
         let dims = match plan.strategy {
             TrialStrategy::Stratified | TrialStrategy::Sobol => dims.min(SOBOL_MAX_DIMS),
             _ => 0,
@@ -199,7 +199,10 @@ impl PlanSampler {
     /// [`PlanSampler::shift`].
     pub fn prepare_trial(&mut self, t: u64) -> (u64, f64) {
         match self.plan.strategy {
-            TrialStrategy::Plain => unreachable!("plain plan has no sampler"),
+            TrialStrategy::Plain | TrialStrategy::Blockade => {
+                self.lead.clear();
+                (t, 1.0)
+            }
             TrialStrategy::Antithetic => {
                 // Pair (2k, 2k+1): the odd trial replays the even seed
                 // reflected. STRATA_BLOCK-aligned scheduling blocks are
@@ -229,10 +232,6 @@ impl PlanSampler {
                     let u = seq.scrambled_uniform(d, t, self.shifts[d]);
                     self.lead.push(inv_cap_phi(u));
                 }
-                (t, 1.0)
-            }
-            TrialStrategy::Blockade => {
-                self.lead.clear();
                 (t, 1.0)
             }
         }
@@ -329,9 +328,16 @@ mod tests {
         assert_eq!(st.shift(), 0.0);
     }
 
+    /// The plain plan is the identity: every trial replays its own
+    /// seed unreflected, with no overrides and no shift — inside a block
+    /// and across block boundaries alike.
     #[test]
-    #[should_panic(expected = "plain plan has no sampler")]
-    fn plain_plan_rejects_a_sampler() {
-        let _ = PlanSampler::new(TrialPlan::plain(), 1, 0);
+    fn plain_plan_is_the_identity() {
+        let mut ps = PlanSampler::new(TrialPlan::plain(), 5, 42);
+        for t in (0..3 * STRATA_BLOCK).chain([u64::MAX - 1, u64::MAX]) {
+            assert_eq!(ps.prepare_trial(t), (t, 1.0), "trial {t}");
+            assert!(ps.lead().is_empty(), "trial {t} has lead overrides");
+            assert_eq!(ps.shift(), 0.0);
+        }
     }
 }

@@ -5,11 +5,24 @@
 //! confidence half-width, verification runs in fixed-size chunks and
 //! stops at the first chunk boundary where the 95% interval of the
 //! yield estimate is tight enough — with the configured budget as a
-//! ceiling, never a floor to overrun. Because trials are counter-seeded
-//! and folded strictly in trial order, a chunked run accumulates the
-//! exact same arithmetic as one full-range call over the trials that
-//! did run, and the early-stop decision replays identically on every
-//! machine and worker count.
+//! ceiling, never a floor to overrun. Trials are counter-seeded and the
+//! stop rule reads only accumulated statistics, so the trial count and
+//! the bytes replay identically on every machine and worker count.
+//!
+//! What the bytes are *defined by* depends on the trial kernel:
+//!
+//! * **v1** records every trial straight into the running statistics,
+//!   so a chunked run accumulates the exact same arithmetic as one
+//!   full-range block call over the trials that did run.
+//! * **v2** folds each block call through its statistics lanes and
+//!   merges the lanes into the running statistics at the end of the
+//!   call, so its verification bytes are defined by the chunk sequence:
+//!   consecutive [`VERIFY_CHUNK_TRIALS`]-trial block calls into one
+//!   accumulator, which differ in the last bits from one full-range
+//!   call.
+//! * **v3** accumulates each chunk into a fresh block and merges the
+//!   blocks in ascending order, the fold the engine's worker pool
+//!   reproduces.
 
 use vardelay_mc::{PipelineBlockStats, PreparedPipelineMc, TrialKernel, TrialPlan, TrialWorkspace};
 
@@ -55,23 +68,19 @@ pub fn verify_yield(
     if plan.is_weighted() {
         stats = stats.with_weighted_tail();
     }
-    // The v1/v2 verification bytes are frozen as one continuous
-    // accumulation over the chunk sequence. The v3 kernel's contract is
-    // instead *defined* chunk-wise: every chunk accumulates into a
-    // fresh block and merges in ascending order, which is what lets the
-    // engine dispatch chunks across its worker pool and still reproduce
-    // this sequential fold bit-for-bit at any worker count.
+    // The v1/v2 verification bytes are frozen as consecutive chunk calls
+    // into one accumulator (see the module docs). The v3 kernel's
+    // contract is instead *defined* chunk-wise: every chunk accumulates
+    // into a fresh block and merges in ascending order, which is what
+    // lets the engine dispatch chunks across its worker pool and still
+    // reproduce this sequential fold bit-for-bit at any worker count.
     let chunk_fold = prepared.kernel() == TrialKernel::V3;
     let mut done = 0;
     while done < budget {
         let end = (done + VERIFY_CHUNK_TRIALS).min(budget);
         if chunk_fold {
             let mut chunk = stats.fresh_like();
-            if plan.is_plain() {
-                prepared.run_block(ws, done..end, &seed_of, &mut chunk);
-            } else {
-                prepared.run_block_plan(ws, done..end, &seed_of, plan, &mut chunk);
-            }
+            prepared.run_block_plan(ws, done..end, &seed_of, plan, &mut chunk);
             stats.merge(&chunk);
         } else {
             prepared.run_block_plan(ws, done..end, &seed_of, plan, &mut stats);
@@ -145,6 +154,43 @@ mod tests {
             v.stats.pipeline().mean().to_bits(),
             direct.pipeline().mean().to_bits()
         );
+    }
+
+    /// The v2 verification contract: the bytes are those of consecutive
+    /// per-chunk block calls into one accumulator (each call lane-folds
+    /// into the running statistics), not of one full-range call.
+    #[test]
+    fn v2_bytes_are_consecutive_chunk_calls_into_one_accumulator() {
+        let (p, mc, target) = setup();
+        let prepared = PreparedPipelineMc::new(&mc.with_kernel(TrialKernel::V2), &p);
+        let plan = TrialPlan::of(TrialStrategy::Stratified);
+        let seed_of = |t| counter_seed(42, t);
+        let mut ws = TrialWorkspace::new();
+        let budget = 4 * VERIFY_CHUNK_TRIALS;
+        let v = verify_yield(
+            &prepared,
+            &mut ws,
+            plan,
+            budget,
+            None,
+            seed_of,
+            p.stage_count(),
+            &[target],
+        );
+        assert_eq!(v.trials, budget);
+        let mut chunked = PipelineBlockStats::new(p.stage_count(), &[target]);
+        for start in (0..budget).step_by(VERIFY_CHUNK_TRIALS as usize) {
+            let range = start..start + VERIFY_CHUNK_TRIALS;
+            prepared.run_block_plan(&mut ws, range, seed_of, plan, &mut chunked);
+        }
+        assert_eq!(v.stats, chunked);
+        // One full-range call folds the same trials through one lane
+        // tree, and the last bits differ: the chunking is part of the
+        // definition.
+        let mut full = PipelineBlockStats::new(p.stage_count(), &[target]);
+        prepared.run_block_plan(&mut ws, 0..budget, seed_of, plan, &mut full);
+        assert_eq!(chunked.pipeline().mean(), 64.79826186470618);
+        assert_eq!(full.pipeline().mean(), 64.79826186470616);
     }
 
     #[test]

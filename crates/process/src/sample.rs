@@ -94,15 +94,37 @@ impl ProcessSampler {
         self.grid.as_ref().map_or(0, |g| g.region_of(pos))
     }
 
-    /// Draws the shared components for one die.
+    /// Draws the shared components for one die: the plain v1 draw (one
+    /// [`sample_standard_normal`] for the inter-die shift, then one per
+    /// correlated region). This allocating sampler is the independent
+    /// reference the trial-plan samplers are tested against; Monte-Carlo
+    /// hot paths use [`ProcessSampler::sample_die_into_plan`] with the
+    /// identity overlay, which reproduces it bit for bit.
     pub fn sample_die<R: Rng + ?Sized>(&self, rng: &mut R) -> DieSample {
-        let mut die = DieSample {
-            global_dvth: 0.0,
-            region_dvth: Vec::new(),
+        let global_dvth = if self.variation.has_inter() {
+            self.variation.sigma_vth_inter_v() * sample_standard_normal(rng)
+        } else {
+            0.0
         };
-        let mut z = Vec::new();
-        self.sample_die_into(rng, &mut z, &mut die);
-        die
+        let mut region_dvth = Vec::new();
+        if self.variation.has_systematic() {
+            let corr = self
+                .correlator
+                .as_ref()
+                .expect("systematic variation implies a grid");
+            let z: Vec<f64> = (0..corr.region_count())
+                .map(|_| sample_standard_normal(rng))
+                .collect();
+            region_dvth = corr.correlate(&z);
+            let s = self.variation.sigma_vth_sys_v();
+            for v in &mut region_dvth {
+                *v *= s;
+            }
+        }
+        DieSample {
+            global_dvth,
+            region_dvth,
+        }
     }
 
     /// Number of correlated regions a [`DieSample`] from this sampler
@@ -118,49 +140,17 @@ impl ProcessSampler {
         }
     }
 
-    /// Allocation-free variant of [`ProcessSampler::sample_die`]: draws
-    /// one die's shared components into `die`, using `z` as scratch for
-    /// the iid region normals. Both buffers are resized on first use and
-    /// reused untouched afterwards, so a Monte-Carlo loop that passes the
-    /// same buffers performs no per-trial heap allocation. The RNG
-    /// consumption and arithmetic are identical to `sample_die`, so the
-    /// two produce bit-identical samples from the same stream.
-    pub fn sample_die_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        z: &mut Vec<f64>,
-        die: &mut DieSample,
-    ) {
-        die.global_dvth = if self.variation.has_inter() {
-            self.variation.sigma_vth_inter_v() * sample_standard_normal(rng)
-        } else {
-            0.0
-        };
-        if self.variation.has_systematic() {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            z.resize(corr.region_count(), 0.0);
-            die.region_dvth.resize(corr.region_count(), 0.0);
-            for zi in z.iter_mut() {
-                *zi = sample_standard_normal(rng);
-            }
-            corr.correlate_into(z, &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
-    }
-
-    /// The **trial-plan** die sampler (v1 kernel): the strategy-modified
-    /// variant of [`ProcessSampler::sample_die_into`]. The RNG is
-    /// consumed exactly as the plain sampler does (one draw per die-level
-    /// dim, in the same order) and the modifications are overlaid on the
-    /// stream:
+    /// The **trial-plan** die sampler of the v1 kernel: the
+    /// allocation-free form of [`ProcessSampler::sample_die`] with a
+    /// trial plan's modifications overlaid. Draws one die's shared
+    /// components into `die`, using `z` as scratch for the die-level
+    /// normals; both buffers are resized on first use and reused
+    /// untouched afterwards, so a Monte-Carlo loop that passes the same
+    /// buffers performs no per-trial heap allocation.
+    ///
+    /// Every die-level normal is drawn exactly as `sample_die` draws it
+    /// (one [`sample_standard_normal`] per dim, inter-die first, then the
+    /// regions), and the modifications are overlaid on the stream:
     ///
     /// * each die-level standard normal becomes
     ///   `sign * lead.get(dim).unwrap_or(drawn)` — `lead` carries the
@@ -173,6 +163,9 @@ impl ProcessSampler {
     ///   trial's importance weight (the returned value) is the
     ///   likelihood ratio `exp(-shift·z - shift²/2)`; otherwise the
     ///   weight is `1.0`.
+    ///
+    /// The identity overlay `(1.0, &[], 0.0)` is plain Monte-Carlo: it
+    /// reproduces `sample_die` bit for bit.
     pub fn sample_die_into_plan<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -182,50 +175,21 @@ impl ProcessSampler {
         z: &mut Vec<f64>,
         die: &mut DieSample,
     ) -> f64 {
-        let mut weight = 1.0;
-        let mut dim = 0usize;
-        die.global_dvth = if self.variation.has_inter() {
-            let drawn = sample_standard_normal(rng);
-            let mut n0 = sign * lead.get(dim).copied().unwrap_or(drawn);
-            dim += 1;
-            if shift != 0.0 {
-                weight = mean_shift_weight(shift, n0);
-                n0 += shift;
-            }
-            self.variation.sigma_vth_inter_v() * n0
-        } else {
-            0.0
-        };
-        if self.variation.has_systematic() {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            z.resize(corr.region_count(), 0.0);
-            die.region_dvth.resize(corr.region_count(), 0.0);
+        let fill = |rng: &mut R, z: &mut [f64]| {
             for zi in z.iter_mut() {
-                let drawn = sample_standard_normal(rng);
-                *zi = sign * lead.get(dim).copied().unwrap_or(drawn);
-                dim += 1;
+                *zi = sample_standard_normal(rng);
             }
-            corr.correlate_into(z, &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
-        weight
+        };
+        self.sample_die_overlaid(rng, fill, sign, lead, shift, z, die)
     }
 
-    /// The **trial-plan** die sampler under the v2 kernel: fills the
-    /// die-level normals exactly as [`ProcessSampler::sample_die_into_v2`]
-    /// (one batch Box–Muller fill), then overlays the plan modifications
-    /// — leading-dim overrides, antithetic sign, inter-die mean shift —
-    /// with the same semantics as
-    /// [`ProcessSampler::sample_die_into_plan`]. Returns the trial's
-    /// importance weight.
+    /// The trial-plan die sampler of the **v2 kernel**: same component
+    /// semantics and overlay as [`ProcessSampler::sample_die_into_plan`],
+    /// but every die-level normal comes from one batch pair-producing
+    /// Box–Muller fill — the inter-die draw and the iid region draws
+    /// share lanes, consuming `2·ceil(count/2)` uniforms total instead
+    /// of `2·count`. Different (but equally deterministic) bytes than the
+    /// v1 sampler. Returns the trial's importance weight.
     pub fn sample_die_into_v2_plan<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -235,150 +199,55 @@ impl ProcessSampler {
         z: &mut Vec<f64>,
         die: &mut DieSample,
     ) -> f64 {
-        let n_inter = usize::from(self.variation.has_inter());
-        let regions = self.region_value_count();
-        if n_inter + regions == 0 {
-            die.global_dvth = 0.0;
-            die.region_dvth.clear();
-            return 1.0;
-        }
-        z.resize(n_inter + regions, 0.0);
-        fill_standard_normals_bm(rng, z);
-        for (zi, &l) in z.iter_mut().zip(lead) {
-            *zi = l;
-        }
-        if sign != 1.0 {
-            for zi in z.iter_mut() {
-                *zi *= sign;
-            }
-        }
-        let mut weight = 1.0;
-        die.global_dvth = if n_inter == 1 {
-            let mut n0 = z[0];
-            if shift != 0.0 {
-                weight = mean_shift_weight(shift, n0);
-                n0 += shift;
-            }
-            self.variation.sigma_vth_inter_v() * n0
-        } else {
-            0.0
-        };
-        if regions > 0 {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            die.region_dvth.resize(regions, 0.0);
-            corr.correlate_into(&z[n_inter..], &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
-        weight
+        let fill = fill_standard_normals_bm::<R>;
+        self.sample_die_overlaid(rng, fill, sign, lead, shift, z, die)
     }
 
-    /// The **v2-kernel** die sampler: same component semantics as
-    /// [`ProcessSampler::sample_die_into`] (inter-die shift first, then
-    /// the correlated region values), but every normal comes from one
-    /// batch pair-producing Box–Muller fill over the whole die — the
-    /// inter-die draw and the iid region draws share lanes, consuming
-    /// `2·ceil(count/2)` uniforms total instead of `2·count`. Different
-    /// (but equally deterministic) bytes than the v1 sampler; `z` must
-    /// be the same scratch buffer across calls for the zero-allocation
-    /// contract, and is sized to `region_count + 1` here.
-    pub fn sample_die_into_v2<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        z: &mut Vec<f64>,
-        die: &mut DieSample,
-    ) {
-        let n_inter = usize::from(self.variation.has_inter());
-        let regions = self.region_value_count();
-        if n_inter + regions == 0 {
-            die.global_dvth = 0.0;
-            die.region_dvth.clear();
-            return;
-        }
-        z.resize(n_inter + regions, 0.0);
-        fill_standard_normals_bm(rng, z);
-        die.global_dvth = if n_inter == 1 {
-            self.variation.sigma_vth_inter_v() * z[0]
-        } else {
-            0.0
-        };
-        if regions > 0 {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            die.region_dvth.resize(regions, 0.0);
-            corr.correlate_into(&z[n_inter..], &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
-    }
-
-    /// The **v3-kernel** die sampler: same component semantics and draw
-    /// order as [`ProcessSampler::sample_die_into_v2`], but every normal
-    /// comes from one batch **inverse-CDF** fill — the wide kernel draws
-    /// all of a trial's normals (die, latch, gate) through the same
-    /// branch-free transform so the whole fill phase stays vectorizable.
-    /// One uniform per normal; different (but equally deterministic)
-    /// bytes than both the v1 and v2 samplers whenever a die-level
-    /// component is configured.
+    /// The plain **v3-kernel** die draw: [`Self::sample_die_into_v3_plan`]
+    /// with the identity overlay.
     pub fn sample_die_into_v3<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         z: &mut Vec<f64>,
         die: &mut DieSample,
     ) {
-        let n_inter = usize::from(self.variation.has_inter());
-        let regions = self.region_value_count();
-        if n_inter + regions == 0 {
-            die.global_dvth = 0.0;
-            die.region_dvth.clear();
-            return;
-        }
-        z.resize(n_inter + regions, 0.0);
-        fill_standard_normals_inv_cdf(rng, z);
-        die.global_dvth = if n_inter == 1 {
-            self.variation.sigma_vth_inter_v() * z[0]
-        } else {
-            0.0
-        };
-        if regions > 0 {
-            let corr = self
-                .correlator
-                .as_ref()
-                .expect("systematic variation implies a grid");
-            die.region_dvth.resize(regions, 0.0);
-            corr.correlate_into(&z[n_inter..], &mut die.region_dvth);
-            let s = self.variation.sigma_vth_sys_v();
-            for v in &mut die.region_dvth {
-                *v *= s;
-            }
-        } else {
-            die.region_dvth.clear();
-        }
+        self.sample_die_into_v3_plan(rng, 1.0, &[], 0.0, z, die);
     }
 
-    /// The **trial-plan** die sampler under the v3 kernel: fills the
-    /// die-level normals exactly as [`ProcessSampler::sample_die_into_v3`]
-    /// (one batch inverse-CDF fill), then overlays the plan modifications
-    /// — leading-dim overrides, antithetic sign, inter-die mean shift —
-    /// with the same semantics as
-    /// [`ProcessSampler::sample_die_into_plan`]. Returns the trial's
-    /// importance weight.
+    /// The trial-plan die sampler of the **v3 kernel**: same component
+    /// semantics, draw order and overlay as
+    /// [`ProcessSampler::sample_die_into_v2_plan`], but every normal
+    /// comes from one batch **inverse-CDF** fill — the wide kernel draws
+    /// all of a trial's normals (die, latch, gate) through the same
+    /// branch-free transform so the whole fill phase stays vectorizable.
+    /// One uniform per normal; different (but equally deterministic)
+    /// bytes than both the v1 and v2 samplers whenever a die-level
+    /// component is configured. Returns the trial's importance weight.
     pub fn sample_die_into_v3_plan<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
+        sign: f64,
+        lead: &[f64],
+        shift: f64,
+        z: &mut Vec<f64>,
+        die: &mut DieSample,
+    ) -> f64 {
+        let fill = fill_standard_normals_inv_cdf::<R>;
+        self.sample_die_overlaid(rng, fill, sign, lead, shift, z, die)
+    }
+
+    /// The body every kernel's die sampler shares: `fill` draws the
+    /// inter-die normal (when configured) and the iid region normals
+    /// into `z`, in that order; then the plan overlay (lead overrides,
+    /// sign, inter-die mean shift), the spatial correlation and the
+    /// sigma scaling. Nothing is drawn when the die has no shared
+    /// component. Skipping the sign pass at `sign == 1.0` is exact:
+    /// multiplying by one never changes a bit.
+    #[allow(clippy::too_many_arguments)] // the samplers' surface plus the fill
+    fn sample_die_overlaid<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        fill: impl FnOnce(&mut R, &mut [f64]),
         sign: f64,
         lead: &[f64],
         shift: f64,
@@ -393,7 +262,7 @@ impl ProcessSampler {
             return 1.0;
         }
         z.resize(n_inter + regions, 0.0);
-        fill_standard_normals_inv_cdf(rng, z);
+        fill(rng, z);
         for (zi, &l) in z.iter_mut().zip(lead) {
             *zi = l;
         }
@@ -535,7 +404,7 @@ mod tests {
         let mut inter = RunningStats::new();
         let mut region0 = RunningStats::new();
         for _ in 0..30_000 {
-            s.sample_die_into_v2(&mut rng, &mut z, &mut die);
+            s.sample_die_into_v2_plan(&mut rng, 1.0, &[], 0.0, &mut z, &mut die);
             inter.push(die.global_dvth);
             region0.push(die.region_dvth[0]);
         }
@@ -545,7 +414,7 @@ mod tests {
 
         // No variation: nothing drawn, nothing allocated.
         let none = ProcessSampler::new(VariationConfig::none(), None);
-        none.sample_die_into_v2(&mut rng, &mut z, &mut die);
+        none.sample_die_into_v2_plan(&mut rng, 1.0, &[], 0.0, &mut z, &mut die);
         assert_eq!(die.global_dvth, 0.0);
         assert!(die.region_dvth.is_empty());
     }
@@ -575,7 +444,7 @@ mod tests {
         for seed in 0..8u64 {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into_v2(&mut r1, &mut z, &mut a);
+            s.sample_die_into_v2_plan(&mut r1, 1.0, &[], 0.0, &mut z, &mut a);
             s.sample_die_into_v3(&mut r2, &mut z, &mut b);
             assert_ne!(a, b, "v3 die bytes must not coincide with v2");
         }
@@ -589,31 +458,44 @@ mod tests {
 
     #[test]
     fn plan_sampler_with_identity_mods_matches_plain_bit_for_bit() {
-        // sign 1, no overrides, no shift: the plan sampler must replay
-        // the plain stream exactly (weight 1, identical bits) under both
-        // kernels' fills.
+        // sign 1, no overrides, no shift is plain Monte-Carlo: the v1
+        // overlay sampler must replay the allocating reference
+        // `sample_die` exactly (weight 1, identical bits), and the v2/v3
+        // overlays must be their bare batch fill — inter-die normal
+        // first, then the correlated regions.
         let s = ProcessSampler::new(VariationConfig::combined(20.0, 35.0, 15.0), None);
-        let mut za = Vec::new();
-        let mut zb = Vec::new();
-        let mut a = DieSample::default();
+        let corr = s.grid().expect("systematic grid").correlator();
+        let bare = |fill: fn(&mut StdRng, &mut [f64]), rng: &mut StdRng| {
+            let mut n = vec![0.0; 1 + s.region_value_count()];
+            fill(rng, &mut n);
+            let mut region_dvth = corr.correlate(&n[1..]);
+            for v in &mut region_dvth {
+                *v *= s.variation().sigma_vth_sys_v();
+            }
+            DieSample {
+                global_dvth: s.variation().sigma_vth_inter_v() * n[0],
+                region_dvth,
+            }
+        };
+        let mut z = Vec::new();
         let mut b = DieSample::default();
         for seed in 0..20u64 {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into(&mut r1, &mut za, &mut a);
-            let w = s.sample_die_into_plan(&mut r2, 1.0, &[], 0.0, &mut zb, &mut b);
+            let a = s.sample_die(&mut r1);
+            let w = s.sample_die_into_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut b);
             assert_eq!(w, 1.0);
             assert_eq!(a, b);
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into_v2(&mut r1, &mut za, &mut a);
-            let w = s.sample_die_into_v2_plan(&mut r2, 1.0, &[], 0.0, &mut zb, &mut b);
+            let a = bare(fill_standard_normals_bm, &mut r1);
+            let w = s.sample_die_into_v2_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut b);
             assert_eq!(w, 1.0);
             assert_eq!(a, b);
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into_v3(&mut r1, &mut za, &mut a);
-            let w = s.sample_die_into_v3_plan(&mut r2, 1.0, &[], 0.0, &mut zb, &mut b);
+            let a = bare(fill_standard_normals_inv_cdf, &mut r1);
+            let w = s.sample_die_into_v3_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut b);
             assert_eq!(w, 1.0);
             assert_eq!(a, b);
         }
@@ -656,12 +538,11 @@ mod tests {
         let s = ProcessSampler::new(VariationConfig::inter_only(40.0), None);
         let shift = 3.0;
         let mut z = Vec::new();
-        let mut plain = DieSample::default();
         let mut shifted = DieSample::default();
         for seed in 0..50u64 {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            s.sample_die_into(&mut r1, &mut z, &mut plain);
+            let plain = s.sample_die(&mut r1);
             let w = s.sample_die_into_plan(&mut r2, 1.0, &[], shift, &mut z, &mut shifted);
             let z0 = plain.global_dvth / 0.040;
             assert!((shifted.global_dvth - 0.040 * (z0 + shift)).abs() < 1e-12);

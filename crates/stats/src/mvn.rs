@@ -114,7 +114,8 @@ impl MultivariateNormal {
         &self.mean
     }
 
-    /// Draws one correlated sample vector.
+    /// Draws one correlated sample vector: the allocating plain v1 draw,
+    /// the reference the trial-plan samplers are tested against.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let z: Vec<f64> = (0..self.dim())
             .map(|_| sample_standard_normal(rng))
@@ -126,54 +127,19 @@ impl MultivariateNormal {
         y
     }
 
-    /// Allocation-free variant of [`MultivariateNormal::sample`]: draws
-    /// one correlated vector into `out`, using `z` as scratch for the
-    /// iid normals. Both buffers are resized on first use; the RNG
-    /// consumption and arithmetic are identical to `sample`, so the two
-    /// produce bit-identical vectors from the same stream.
-    pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, z: &mut Vec<f64>, out: &mut Vec<f64>) {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        for zi in z.iter_mut() {
-            *zi = sample_standard_normal(rng);
-        }
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-    }
-
-    /// The **v2-kernel** correlated sampler: like
-    /// [`MultivariateNormal::sample_into`] but the iid normals come from
-    /// the batch pair-producing Box–Muller fill
-    /// ([`crate::batch::fill_standard_normals_bm`]) — half of v1's
-    /// uniform consumption, different (but equally deterministic) bytes.
-    /// Used by Monte-Carlo surfaces that run under the versioned `v2`
-    /// trial-kernel contract; v1 callers must keep using `sample` /
-    /// `sample_into`.
-    pub fn sample_into_v2<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        z: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        crate::batch::fill_standard_normals_bm(rng, z);
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-    }
-
-    /// The **trial-plan** correlated sampler: like
-    /// [`MultivariateNormal::sample_into`] but with the strategy
-    /// modifications overlaid on the iid normals before the Cholesky
-    /// transform — each `z_d` becomes `sign * lead.get(d).unwrap_or(drawn)`
-    /// (the RNG is consumed exactly as the plain sampler), and when
+    /// The **trial-plan** correlated sampler of the v1 kernel: the
+    /// allocation-free form of [`MultivariateNormal::sample`] with a
+    /// trial plan's modifications overlaid on the iid normals before the
+    /// Cholesky transform. Draws one correlated vector into `out`, using
+    /// `z` as scratch; both buffers are resized on first use.
+    ///
+    /// Every normal is drawn (one [`sample_standard_normal`] per
+    /// dimension, the RNG consumption of `sample`), then each `z_d`
+    /// becomes `sign * lead.get(d).unwrap_or(drawn)`, and when
     /// `shift != 0` the first normal is mean-shifted by `shift` with the
-    /// likelihood-ratio weight returned. The plain plan must keep using
-    /// `sample` / `sample_into`, whose bytes are frozen.
+    /// likelihood-ratio weight returned (1.0 otherwise). The identity
+    /// overlay `(1.0, &[], 0.0)` is plain Monte-Carlo: it reproduces
+    /// `sample` bit for bit.
     pub fn sample_into_plan<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -183,25 +149,20 @@ impl MultivariateNormal {
         z: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> f64 {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        for (d, zi) in z.iter_mut().enumerate() {
-            let drawn = sample_standard_normal(rng);
-            *zi = sign * lead.get(d).copied().unwrap_or(drawn);
-        }
-        let weight = self.apply_shift(shift, z);
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-        weight
+        let fill = |rng: &mut R, z: &mut [f64]| {
+            for zi in z.iter_mut() {
+                *zi = sample_standard_normal(rng);
+            }
+        };
+        self.sample_overlaid(rng, fill, sign, lead, shift, z, out)
     }
 
-    /// The **trial-plan** sampler under the v2 kernel: the batch
-    /// Box–Muller fill of [`MultivariateNormal::sample_into_v2`] with the
-    /// same modification overlay as
-    /// [`MultivariateNormal::sample_into_plan`]. Returns the trial's
-    /// importance weight.
+    /// The trial-plan sampler of the **v2 kernel**: the iid normals come
+    /// from the batch pair-producing Box–Muller fill
+    /// ([`crate::batch::fill_standard_normals_bm`]) — half of v1's
+    /// uniform consumption, different (but equally deterministic) bytes
+    /// — with the overlay of [`MultivariateNormal::sample_into_plan`].
+    /// Returns the trial's importance weight.
     pub fn sample_into_v2_plan<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -211,53 +172,17 @@ impl MultivariateNormal {
         z: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> f64 {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        crate::batch::fill_standard_normals_bm(rng, z);
-        for (zi, &l) in z.iter_mut().zip(lead) {
-            *zi = l;
-        }
-        if sign != 1.0 {
-            for zi in z.iter_mut() {
-                *zi *= sign;
-            }
-        }
-        let weight = self.apply_shift(shift, z);
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-        weight
+        let fill = crate::batch::fill_standard_normals_bm::<R>;
+        self.sample_overlaid(rng, fill, sign, lead, shift, z, out)
     }
 
-    /// The **v3-kernel** correlated sampler: like
-    /// [`MultivariateNormal::sample_into_v2`] but the iid normals come
+    /// The trial-plan sampler of the **v3 kernel**: the iid normals come
     /// from the batch inverse-CDF fill
     /// ([`crate::batch::fill_standard_normals_inv_cdf`]) — one uniform
     /// per normal through a branch-free transform, different (but
-    /// equally deterministic) bytes than both v1 and v2. Used by
-    /// Monte-Carlo surfaces running under the versioned `v3` wide-kernel
-    /// contract.
-    pub fn sample_into_v3<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        z: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) {
-        z.resize(self.dim(), 0.0);
-        out.resize(self.dim(), 0.0);
-        crate::batch::fill_standard_normals_inv_cdf(rng, z);
-        self.chol.transform_into(z, out);
-        for (yi, mi) in out.iter_mut().zip(&self.mean) {
-            *yi += mi;
-        }
-    }
-
-    /// The **trial-plan** sampler under the v3 kernel: the batch
-    /// inverse-CDF fill of [`MultivariateNormal::sample_into_v3`] with
-    /// the same modification overlay as
-    /// [`MultivariateNormal::sample_into_plan`]. Returns the trial's
-    /// importance weight.
+    /// equally deterministic) bytes than both v1 and v2 — with the
+    /// overlay of [`MultivariateNormal::sample_into_plan`]. Returns the
+    /// trial's importance weight.
     pub fn sample_into_v3_plan<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -267,9 +192,28 @@ impl MultivariateNormal {
         z: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> f64 {
+        let fill = crate::batch::fill_standard_normals_inv_cdf::<R>;
+        self.sample_overlaid(rng, fill, sign, lead, shift, z, out)
+    }
+
+    /// The body every kernel's sampler shares: `fill` draws the iid
+    /// normals, then the plan overlay (lead overrides, sign, mean shift),
+    /// the Cholesky transform and the mean. Skipping the sign pass at
+    /// `sign == 1.0` is exact: multiplying by one never changes a bit.
+    #[allow(clippy::too_many_arguments)] // the samplers' surface plus the fill
+    fn sample_overlaid<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        fill: impl FnOnce(&mut R, &mut [f64]),
+        sign: f64,
+        lead: &[f64],
+        shift: f64,
+        z: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) -> f64 {
         z.resize(self.dim(), 0.0);
         out.resize(self.dim(), 0.0);
-        crate::batch::fill_standard_normals_inv_cdf(rng, z);
+        fill(rng, z);
         for (zi, &l) in z.iter_mut().zip(lead) {
             *zi = l;
         }
@@ -394,21 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_into_matches_sample_bit_for_bit() {
-        let corr = CorrelationMatrix::uniform(3, 0.4).unwrap();
-        let mvn = MultivariateNormal::from_correlation(&[1.0, 2.0, 3.0], &[0.5, 1.0, 2.0], &corr)
-            .unwrap();
-        let mut r1 = StdRng::seed_from_u64(17);
-        let mut r2 = StdRng::seed_from_u64(17);
-        let (mut z, mut out) = (Vec::new(), Vec::new());
-        for _ in 0..50 {
-            let want = mvn.sample(&mut r1);
-            mvn.sample_into(&mut r2, &mut z, &mut out);
-            assert_eq!(want, out);
-        }
-    }
-
-    #[test]
     fn v2_sampler_matches_moments() {
         let corr = CorrelationMatrix::uniform(2, 0.7).unwrap();
         let mvn = MultivariateNormal::from_correlation(&[5.0, -5.0], &[2.0, 3.0], &corr).unwrap();
@@ -416,7 +345,7 @@ mod tests {
         let (mut z, mut out) = (Vec::new(), Vec::new());
         let mut xs = Vec::new();
         for _ in 0..60_000 {
-            mvn.sample_into_v2(&mut rng, &mut z, &mut out);
+            mvn.sample_into_v2_plan(&mut rng, 1.0, &[], 0.0, &mut z, &mut out);
             xs.push(out.clone());
         }
         let st = sample_stats(&xs);
@@ -433,23 +362,41 @@ mod tests {
         assert!((rho - 0.7).abs() < 0.02, "rho {rho}");
     }
 
+    /// The identity overlay is plain Monte-Carlo: under v1 it replays the
+    /// allocating reference `sample` bit for bit, and under v2/v3 it is
+    /// the bare batch fill followed by the Cholesky transform.
     #[test]
     fn plan_sampler_with_identity_mods_matches_plain_bit_for_bit() {
         let corr = CorrelationMatrix::uniform(3, 0.5).unwrap();
         let mvn = MultivariateNormal::from_correlation(&[1.0, 2.0, 3.0], &[0.5, 1.0, 2.0], &corr)
             .unwrap();
-        let (mut z, mut a, mut b) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut z, mut b) = (Vec::new(), Vec::new());
+        let bare = |fill: fn(&mut StdRng, &mut [f64]), rng: &mut StdRng| {
+            let mut n = vec![0.0; 3];
+            fill(rng, &mut n);
+            let mut y = mvn.chol.transform(&n);
+            for (yi, mi) in y.iter_mut().zip(mvn.mean()) {
+                *yi += mi;
+            }
+            y
+        };
         for seed in 0..20u64 {
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            mvn.sample_into(&mut r1, &mut z, &mut a);
+            let a = mvn.sample(&mut r1);
             let w = mvn.sample_into_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut b);
             assert_eq!(w, 1.0);
             assert_eq!(a, b);
             let mut r1 = StdRng::seed_from_u64(seed);
             let mut r2 = StdRng::seed_from_u64(seed);
-            mvn.sample_into_v2(&mut r1, &mut z, &mut a);
+            let a = bare(crate::batch::fill_standard_normals_bm, &mut r1);
             let w = mvn.sample_into_v2_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut b);
+            assert_eq!(w, 1.0);
+            assert_eq!(a, b);
+            let mut r1 = StdRng::seed_from_u64(seed);
+            let mut r2 = StdRng::seed_from_u64(seed);
+            let a = bare(crate::batch::fill_standard_normals_inv_cdf, &mut r1);
+            let w = mvn.sample_into_v3_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut b);
             assert_eq!(w, 1.0);
             assert_eq!(a, b);
         }
