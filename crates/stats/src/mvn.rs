@@ -362,6 +362,24 @@ mod tests {
         assert!((rho - 0.7).abs() < 0.02, "rho {rho}");
     }
 
+    /// The allocation-free v1 draw (the identity overlay) keeps replaying
+    /// `sample` along one continuing stream with its buffers reused.
+    #[test]
+    fn sample_into_matches_sample_bit_for_bit() {
+        let corr = CorrelationMatrix::uniform(3, 0.4).unwrap();
+        let mvn = MultivariateNormal::from_correlation(&[1.0, 2.0, 3.0], &[0.5, 1.0, 2.0], &corr)
+            .unwrap();
+        let mut r1 = StdRng::seed_from_u64(17);
+        let mut r2 = StdRng::seed_from_u64(17);
+        let (mut z, mut out) = (Vec::new(), Vec::new());
+        for _ in 0..50 {
+            let want = mvn.sample(&mut r1);
+            let w = mvn.sample_into_plan(&mut r2, 1.0, &[], 0.0, &mut z, &mut out);
+            assert_eq!(w, 1.0);
+            assert_eq!(want, out);
+        }
+    }
+
     /// The identity overlay is plain Monte-Carlo: under v1 it replays the
     /// allocating reference `sample` bit for bit, and under v2/v3 it is
     /// the bare batch fill followed by the Cholesky transform.
