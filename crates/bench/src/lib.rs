@@ -20,8 +20,9 @@
 //! `vardelay optimize <spec.json>` — so their frontier search, baseline
 //! and Monte-Carlo cross-check are the shared, tested implementations.
 //!
-//! The library half hosts the shared experiment fixtures (calibrated
-//! technology/variation presets) and plain-text rendering helpers.
+//! The library half hosts the shared experiment fixtures (the calibrated
+//! cell library, the Tables II/III ISCAS pipeline spec, the SSTA-to-core
+//! pipeline conversion) and plain-text rendering helpers.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

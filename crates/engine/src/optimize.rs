@@ -44,8 +44,8 @@ use crate::result::{BaselineOutcome, CampaignResult, McVerification, Optimizatio
 use crate::run::{build_model_from_mc, EngineError, SweepOptions, MAX_TRIALS};
 use crate::seed::{fnv1a64, trial_seed};
 use crate::spec::{
-    trials_from_value, trials_to_value, KernelSpec, PipelineSpec, StrategySpec, TrialPlanSpec,
-    VariationSpec,
+    parse_keyword, trials_from_value, trials_to_value, KernelSpec, PipelineSpec, StrategySpec,
+    TrialPlanSpec, VariationSpec,
 };
 use crate::workload::{run_workload, StepContext, Workload, WorkloadOptions};
 
@@ -67,6 +67,9 @@ pub enum YieldBackendSpec {
 }
 
 impl YieldBackendSpec {
+    /// Every yield-backend keyword, in help and error-message order.
+    pub const ALL: [YieldBackendSpec; 2] = [YieldBackendSpec::Analytic, YieldBackendSpec::Netlist];
+
     /// The lowercase spec keyword.
     pub fn keyword(self) -> &'static str {
         match self {
@@ -81,13 +84,7 @@ impl YieldBackendSpec {
     ///
     /// Returns a message listing the valid keywords.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "analytic" => Ok(YieldBackendSpec::Analytic),
-            "netlist" => Ok(YieldBackendSpec::Netlist),
-            other => Err(format!(
-                "unknown yield backend '{other}' (use analytic|netlist)"
-            )),
-        }
+        parse_keyword(&Self::ALL, Self::keyword, "yield backend", s)
     }
 }
 
@@ -1312,8 +1309,11 @@ mod tests {
             .to_json()
             .replace("\"yield_targets\"", "\"yield_tragets\"");
         assert!(OptimizationCampaign::from_json(&json).is_err());
-        assert!(YieldBackendSpec::parse("spice").is_err());
-        for b in [YieldBackendSpec::Analytic, YieldBackendSpec::Netlist] {
+        assert_eq!(
+            YieldBackendSpec::parse("spice").unwrap_err(),
+            "unknown yield backend 'spice' (use analytic|netlist)"
+        );
+        for b in YieldBackendSpec::ALL {
             assert_eq!(YieldBackendSpec::parse(b.keyword()).unwrap(), b);
         }
     }

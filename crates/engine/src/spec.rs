@@ -17,6 +17,23 @@ use vardelay_process::VariationConfig;
 
 use crate::seed::fnv1a64;
 
+/// Parses a lowercase spec keyword against the variants in `all`; the
+/// error names the field (`what`) and lists every valid keyword.
+pub(crate) fn parse_keyword<T: Copy>(
+    all: &[T],
+    keyword: fn(T) -> &'static str,
+    what: &str,
+    s: &str,
+) -> Result<T, String> {
+    all.iter()
+        .copied()
+        .find(|k| keyword(*k) == s)
+        .ok_or_else(|| {
+            let list: Vec<_> = all.iter().map(|k| keyword(*k)).collect();
+            format!("unknown {what} '{s}' (use {})", list.join("|"))
+        })
+}
+
 /// Which simulator executes a scenario's trials.
 ///
 /// Serialized in lowercase (`"backend": "netlist"`); omitted from the
@@ -44,6 +61,13 @@ pub enum BackendSpec {
 }
 
 impl BackendSpec {
+    /// Every backend keyword, in help and error-message order.
+    pub const ALL: [BackendSpec; 3] = [
+        BackendSpec::Pipeline,
+        BackendSpec::Netlist,
+        BackendSpec::Analytic,
+    ];
+
     /// The lowercase spec keyword.
     pub fn keyword(self) -> &'static str {
         match self {
@@ -59,14 +83,7 @@ impl BackendSpec {
     ///
     /// Returns a message listing the valid keywords.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "pipeline" => Ok(BackendSpec::Pipeline),
-            "netlist" => Ok(BackendSpec::Netlist),
-            "analytic" => Ok(BackendSpec::Analytic),
-            other => Err(format!(
-                "unknown backend '{other}' (use pipeline|netlist|analytic)"
-            )),
-        }
+        parse_keyword(&Self::ALL, Self::keyword, "backend", s)
     }
 }
 
@@ -127,11 +144,7 @@ impl KernelSpec {
     /// The valid keyword set as a `|`-separated list (`"v1|v2|v3"`),
     /// for help text and error messages.
     pub fn keyword_list() -> String {
-        Self::ALL
-            .iter()
-            .map(|k| k.keyword())
-            .collect::<Vec<_>>()
-            .join("|")
+        Self::ALL.map(Self::keyword).join("|")
     }
 
     /// The lowercase spec keyword.
@@ -149,11 +162,7 @@ impl KernelSpec {
     ///
     /// Returns a message listing the valid keywords.
     pub fn parse(s: &str) -> Result<Self, String> {
-        Self::ALL
-            .iter()
-            .copied()
-            .find(|k| k.keyword() == s)
-            .ok_or_else(|| format!("unknown kernel '{s}' (use {})", Self::keyword_list()))
+        parse_keyword(&Self::ALL, Self::keyword, "kernel", s)
     }
 
     /// The `vardelay-mc` kernel this spec keyword selects.
@@ -211,6 +220,15 @@ pub enum StrategySpec {
 }
 
 impl StrategySpec {
+    /// Every strategy keyword, in help and error-message order.
+    pub const ALL: [StrategySpec; 5] = [
+        StrategySpec::Plain,
+        StrategySpec::Antithetic,
+        StrategySpec::Stratified,
+        StrategySpec::Sobol,
+        StrategySpec::Blockade,
+    ];
+
     /// The lowercase spec keyword.
     pub fn keyword(self) -> &'static str {
         match self {
@@ -228,16 +246,7 @@ impl StrategySpec {
     ///
     /// Returns a message listing the valid keywords.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "plain" => Ok(StrategySpec::Plain),
-            "antithetic" => Ok(StrategySpec::Antithetic),
-            "stratified" => Ok(StrategySpec::Stratified),
-            "sobol" => Ok(StrategySpec::Sobol),
-            "blockade" => Ok(StrategySpec::Blockade),
-            other => Err(format!(
-                "unknown trial strategy '{other}' (use plain|antithetic|stratified|sobol|blockade)"
-            )),
-        }
+        parse_keyword(&Self::ALL, Self::keyword, "trial strategy", s)
     }
 
     /// The `vardelay-mc` strategy this spec keyword selects.
@@ -1794,14 +1803,21 @@ mod tests {
 
     #[test]
     fn backend_keywords_roundtrip() {
-        for b in [
-            BackendSpec::Pipeline,
-            BackendSpec::Netlist,
-            BackendSpec::Analytic,
-        ] {
+        for b in BackendSpec::ALL {
             assert_eq!(BackendSpec::parse(b.keyword()).unwrap(), b);
         }
-        assert!(BackendSpec::parse("spice").is_err());
+        assert_eq!(
+            BackendSpec::parse("spice").unwrap_err(),
+            "unknown backend 'spice' (use pipeline|netlist|analytic)"
+        );
+        // The strategy keywords follow the same data-driven pattern.
+        for s in StrategySpec::ALL {
+            assert_eq!(StrategySpec::parse(s.keyword()).unwrap(), s);
+        }
+        assert_eq!(
+            StrategySpec::parse("lhs").unwrap_err(),
+            "unknown trial strategy 'lhs' (use plain|antithetic|stratified|sobol|blockade)"
+        );
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! Gaussian/Clark model approximates — which is what makes the Fig. 2/3 and
 //! Table I comparisons meaningful.
 //!
-//! * [`results`] — sample container with moments, quantiles, histograms,
-//!   yield estimates with confidence intervals.
+//! * [`results`] — streaming block statistics (moments, yield counts,
+//!   optional fixed-range histogram, weighted tail) and yield estimates
+//!   with confidence intervals.
 //! * [`pipeline_mc`] — the experiment (library, variation, output load,
-//!   trial kernel), the scalar v1 reference trial, and a multithreaded
-//!   whole-pipeline campaign that keeps every sample.
+//!   trial kernel) and the scalar v1 reference trial.
 //! * [`prepared`] — the allocation-free prepared/workspace runner: the
 //!   one implementation of gate-level trial blocks, under every kernel
 //!   and trial plan (the sweep engine's gate-level hot path).
@@ -32,13 +32,16 @@
 //! ```
 //! use vardelay_circuit::{LatchParams, StagedPipeline};
 //! use vardelay_circuit::CellLibrary;
-//! use vardelay_mc::{McConfig, PipelineMc};
+//! use vardelay_mc::{PipelineBlockStats, PipelineMc, PreparedPipelineMc};
 //! use vardelay_process::VariationConfig;
+//! use vardelay_stats::counter_seed;
 //!
 //! let mc = PipelineMc::new(CellLibrary::default(), VariationConfig::random_only(35.0), None);
 //! let pipeline = StagedPipeline::inverter_grid(3, 8, 1.0, LatchParams::ideal());
-//! let res = mc.run(&pipeline, &McConfig::quick(2_000, 1));
-//! assert!(res.pipeline.mean() > 0.0);
+//! let prepared = PreparedPipelineMc::new(&mc, &pipeline);
+//! let mut stats = PipelineBlockStats::new(pipeline.stage_count(), &[]);
+//! prepared.run_block(&mut prepared.workspace(), 0..2_000, |t| counter_seed(1, t), &mut stats);
+//! assert!(stats.pipeline().mean() > 0.0);
 //! ```
 
 #![deny(missing_docs)]
@@ -51,7 +54,7 @@ pub mod results;
 pub mod strategy;
 
 pub use kernel::{LaneFold, TrialKernel, V2_LANES, V3_LANES, V3_WIDTH};
-pub use pipeline_mc::{PipelineMc, PipelineMcResult};
+pub use pipeline_mc::PipelineMc;
 pub use prepared::{PreparedPipelineMc, TrialWorkspace};
-pub use results::{HistogramSpec, McConfig, McResult, PipelineBlockStats, YieldEstimate};
+pub use results::{HistogramSpec, PipelineBlockStats, YieldEstimate};
 pub use strategy::{PlanSampler, TrialPlan, TrialStrategy, DEFAULT_SHIFT_SIGMAS, STRATA_BLOCK};

@@ -2,42 +2,15 @@
 //! `T_P = max_i (T_C-Q + T_comb,i + T_setup)`.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use vardelay_circuit::{CellLibrary, Netlist, StagedPipeline};
 use vardelay_process::spatial::SpatialGrid;
 use vardelay_process::{DieSample, ProcessSampler, VariationConfig};
 use vardelay_ssta::sta::{arrival_times, DEFAULT_OUTPUT_LOAD};
 use vardelay_stats::normal::sample_standard_normal;
-use vardelay_stats::RunningStats;
 
 use crate::kernel::TrialKernel;
-use crate::results::{McConfig, McResult};
 
-/// Results of a pipeline Monte-Carlo campaign.
-#[derive(Debug, Clone)]
-pub struct PipelineMcResult {
-    /// Distribution of the pipeline delay `max_i SD_i`.
-    pub pipeline: McResult,
-    /// Per-stage streaming statistics (means/sds of each `SD_i`).
-    pub stage_stats: Vec<RunningStats>,
-}
-
-impl PipelineMcResult {
-    /// Per-stage empirical means.
-    pub fn stage_means(&self) -> Vec<f64> {
-        self.stage_stats.iter().map(RunningStats::mean).collect()
-    }
-
-    /// Per-stage empirical standard deviations.
-    pub fn stage_sds(&self) -> Vec<f64> {
-        self.stage_stats
-            .iter()
-            .map(RunningStats::sample_sd)
-            .collect()
-    }
-}
-
-/// Monte-Carlo runner for a [`StagedPipeline`].
+/// A Monte-Carlo experiment on a [`StagedPipeline`].
 ///
 /// Each trial samples one die; all stages see the same inter-die shift and
 /// the correlated systematic values of their respective regions, so the
@@ -47,9 +20,10 @@ impl PipelineMcResult {
 /// delay is the exact max over its outputs — no Gaussian assumptions.
 ///
 /// This type holds the experiment (library, variation, output load,
-/// trial kernel). Trial blocks run on a [`crate::PreparedPipelineMc`]
-/// compiled from it; [`PipelineMc::sample_trial`] is the scalar v1
-/// reference those blocks are tested against.
+/// trial kernel); it runs no campaign itself. Trials run in
+/// counter-seeded blocks on a [`crate::PreparedPipelineMc`] compiled
+/// from it, and [`PipelineMc::sample_trial`] is the scalar v1 reference
+/// those blocks are tested against.
 #[derive(Debug, Clone)]
 pub struct PipelineMc {
     lib: CellLibrary,
@@ -157,80 +131,18 @@ impl PipelineMc {
         }
         (stage_delays, max_d)
     }
-
-    /// Runs a full campaign, keeping every pipeline-delay sample.
-    ///
-    /// The trials are split into `config.threads` contiguous chunks, each
-    /// drawn from its own generator seeded from `config.seed` and the
-    /// chunk index, and joined in chunk order — so the result is a pure
-    /// function of `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.trials == 0`.
-    pub fn run(&self, pipeline: &StagedPipeline, config: &McConfig) -> PipelineMcResult {
-        assert!(config.trials > 0, "need at least one trial");
-        let threads = config.effective_threads().min(config.trials);
-        let run_chunk = |seed: u64, n: usize| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut samples = Vec::with_capacity(n);
-            let mut stage_stats = vec![RunningStats::new(); pipeline.stage_count()];
-            for _ in 0..n {
-                let (stages, maxd) = self.sample_trial(pipeline, &mut rng);
-                for (st, d) in stage_stats.iter_mut().zip(&stages) {
-                    st.push(*d);
-                }
-                samples.push(maxd);
-            }
-            (samples, stage_stats)
-        };
-
-        if threads == 1 {
-            let (samples, stage_stats) = run_chunk(config.seed, config.trials);
-            return PipelineMcResult {
-                pipeline: McResult::new(samples),
-                stage_stats,
-            };
-        }
-
-        let chunk = config.trials / threads;
-        let rem = config.trials % threads;
-        let mut all = Vec::with_capacity(config.trials);
-        let mut stage_stats = vec![RunningStats::new(); pipeline.stage_count()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let n = chunk + usize::from(w < rem);
-                    let seed = config
-                        .seed
-                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w as u64 + 1));
-                    let run_chunk = &run_chunk;
-                    scope.spawn(move || run_chunk(seed, n))
-                })
-                .collect();
-            for h in handles {
-                let (samples, stats) = h.join().expect("MC worker panicked");
-                all.extend(samples);
-                for (acc, s) in stage_stats.iter_mut().zip(&stats) {
-                    acc.merge(s);
-                }
-            }
-        });
-        PipelineMcResult {
-            pipeline: McResult::new(all),
-            stage_stats,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PipelineBlockStats, PreparedPipelineMc};
+    use rand::SeedableRng;
     use vardelay_circuit::generators::inverter_chain;
     use vardelay_circuit::LatchParams;
     use vardelay_ssta::sta::nominal_delay;
     use vardelay_ssta::SstaEngine;
-    use vardelay_stats::{max_of, CorrelationMatrix};
+    use vardelay_stats::{counter_seed, max_of, CorrelationMatrix};
 
     fn pipe(ns: usize, nl: usize) -> StagedPipeline {
         StagedPipeline::inverter_grid(ns, nl, 1.0, LatchParams::ideal())
@@ -238,7 +150,7 @@ mod tests {
 
     /// One stage behind an ideal latch: the pipeline delay is exactly the
     /// netlist's combinational delay, so single-netlist physics reads
-    /// straight off [`PipelineMc::run`].
+    /// straight off a trial block.
     fn single_stage(netlist: Netlist) -> StagedPipeline {
         StagedPipeline::new("single", vec![netlist], LatchParams::ideal())
     }
@@ -247,14 +159,28 @@ mod tests {
         PipelineMc::new(CellLibrary::default(), var, None).with_output_load(1.0)
     }
 
+    /// Trials `0..trials` of `p`, seeded `counter_seed(seed, t)`, as one
+    /// block on a runner prepared from `mc`.
+    fn run(mc: &PipelineMc, p: &StagedPipeline, trials: u64, seed: u64) -> PipelineBlockStats {
+        let prepared = PreparedPipelineMc::new(mc, p);
+        let mut stats = PipelineBlockStats::new(p.stage_count(), &[]);
+        prepared.run_block(
+            &mut prepared.workspace(),
+            0..trials,
+            |t| counter_seed(seed, t),
+            &mut stats,
+        );
+        stats
+    }
+
     #[test]
     fn zero_variation_reproduces_nominal_delay() {
         let mc = runner(VariationConfig::none());
         let c = inverter_chain(6, 1.0);
         let nominal = nominal_delay(&c, mc.library(), 1.0);
-        let res = mc.run(&single_stage(c), &McConfig::quick(10, 1));
-        assert!((res.pipeline.mean() - nominal).abs() < 1e-9);
-        assert!(res.pipeline.sd() < 1e-12);
+        let res = run(&mc, &single_stage(c), 10, 1);
+        assert!((res.pipeline().mean() - nominal).abs() < 1e-9);
+        assert!(res.pipeline().sample_sd() < 1e-12);
     }
 
     #[test]
@@ -265,8 +191,8 @@ mod tests {
         let ssta = SstaEngine::new(CellLibrary::default(), var, None)
             .with_output_load(1.0)
             .stage_delay(&c, 0);
-        let res = mc.run(&single_stage(c), &McConfig::quick(20_000, 7));
-        let (mean, sd) = (res.pipeline.mean(), res.pipeline.sd());
+        let res = run(&mc, &single_stage(c), 20_000, 7);
+        let (mean, sd) = (res.pipeline().mean(), res.pipeline().sample_sd());
         // Paper §2.4: mean error < 0.2%, sd error < 3% (plus MC noise and
         // the nonlinear-vs-linearized model gap).
         assert!(
@@ -286,45 +212,12 @@ mod tests {
     #[test]
     fn inter_die_shifts_whole_distribution() {
         let mc = runner(VariationConfig::inter_only(40.0));
-        let res = mc.run(
-            &single_stage(inverter_chain(10, 1.0)),
-            &McConfig::quick(5_000, 11),
-        );
+        let res = run(&mc, &single_stage(inverter_chain(10, 1.0)), 5_000, 11);
         // All gates shift together: sd/mean should be close to the per-gate
         // fractional sensitivity times sigma (no sqrt-N averaging).
         let s = mc.library().delay_vth_sensitivity() * 0.040;
-        let v = res.pipeline.variability();
+        let v = res.pipeline().variability();
         assert!((v - s).abs() < 0.2 * s, "variability {v} vs sens {s}");
-    }
-
-    /// The threaded runner is a pure function of its config: chunk `w`
-    /// holds `trials / threads` (+1 for the first `trials % threads`)
-    /// trials from its own seed, and chunks join in order.
-    #[test]
-    fn parallel_run_covers_all_trials_deterministically() {
-        let mc = runner(VariationConfig::random_only(35.0));
-        let p = single_stage(inverter_chain(5, 1.0));
-        let cfg = McConfig {
-            trials: 1000,
-            seed: 3,
-            threads: 3,
-        };
-        let a = mc.run(&p, &cfg);
-        let b = mc.run(&p, &cfg);
-        assert_eq!(a.pipeline.samples().len(), 1000);
-        assert_eq!(a.pipeline.samples(), b.pipeline.samples());
-        assert_eq!(a.stage_means(), b.stage_means());
-        let chunk_seed = |w: u64| 3u64.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(w + 1));
-        let mut start = 0;
-        for (w, n) in [(0u64, 334usize), (1, 333), (2, 333)] {
-            let chunk = mc.run(&p, &McConfig::quick(n, chunk_seed(w)));
-            assert_eq!(
-                &a.pipeline.samples()[start..start + n],
-                chunk.pipeline.samples(),
-                "chunk {w} out of place"
-            );
-            start += n;
-        }
     }
 
     #[test]
@@ -350,18 +243,18 @@ mod tests {
         let var = VariationConfig::random_only(35.0);
         let mc = PipelineMc::new(CellLibrary::default(), var, None).with_output_load(3.0);
         let p = pipe(5, 8);
-        let res = mc.run(&p, &McConfig::quick(20_000, 13));
+        let res = run(&mc, &p, 20_000, 13);
 
         // Analytic: per-stage Normal from MC stage stats, folded with Clark.
         let stages: Vec<vardelay_stats::Normal> = res
-            .stage_stats
+            .stage_stats()
             .iter()
             .map(|s| vardelay_stats::Normal::new(s.mean(), s.sample_sd()).unwrap())
             .collect();
         let corr = CorrelationMatrix::identity(stages.len());
         let analytic = max_of(&stages, &corr);
-        let mc_mean = res.pipeline.mean();
-        let mc_sd = res.pipeline.sd();
+        let mc_mean = res.pipeline().mean();
+        let mc_sd = res.pipeline().sample_sd();
         assert!(
             ((analytic.mean() - mc_mean) / mc_mean).abs() < 0.005,
             "mean {} vs {}",
@@ -377,33 +270,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential_sample_count() {
-        let mc = PipelineMc::new(
-            CellLibrary::default(),
-            VariationConfig::combined(20.0, 35.0, 15.0),
-            None,
-        );
-        let p = pipe(3, 5);
-        let res = mc.run(
-            &p,
-            &McConfig {
-                trials: 500,
-                seed: 1,
-                threads: 3,
-            },
-        );
-        assert_eq!(res.pipeline.samples().len(), 500);
-        assert_eq!(res.stage_stats[0].count(), 500);
-    }
-
-    #[test]
     fn latch_variability_contributes() {
         let var = VariationConfig::none();
         let mc = PipelineMc::new(CellLibrary::default(), var, None);
         let latchy = StagedPipeline::inverter_grid(2, 8, 1.0, LatchParams::tg_msff_70nm());
-        let res = mc.run(&latchy, &McConfig::quick(4_000, 2));
+        let res = run(&mc, &latchy, 4_000, 2);
         // Only latch sigma remains: stage sd ~ 0.32 ps.
-        let sd = res.stage_stats[0].sample_sd();
+        let sd = res.stage_stats()[0].sample_sd();
         assert!((sd - 0.32).abs() < 0.03, "stage sd {sd}");
     }
 }

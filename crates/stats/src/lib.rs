@@ -12,7 +12,7 @@
 //! * [`matrix`] — small dense symmetric matrices and Cholesky factorization.
 //! * [`correlation`] — validated correlation matrices and builders.
 //! * [`mvn`] — sampling from multivariate normal distributions.
-//! * [`descriptive`] — streaming moments (Welford), quantiles, histograms.
+//! * [`descriptive`] — streaming moments (Welford), histograms.
 //! * [`mix`] — SplitMix64 bit-mixing for counter-based Monte-Carlo
 //!   seeding (shared by the sweep engine and the MC runners).
 //! * [`batch`] — batch-shaped normal samplers (pair-producing
@@ -60,7 +60,7 @@ pub use batch::{
 };
 pub use clark::{max_of, max_of_with_order, max_pair, MaxPairMoments};
 pub use correlation::CorrelationMatrix;
-pub use descriptive::{Histogram, Quantiles, RunningStats};
+pub use descriptive::{Histogram, RunningStats};
 pub use matrix::SymMatrix;
 pub use mix::{counter_seed, splitmix64_mix};
 pub use mvn::MultivariateNormal;

@@ -8,9 +8,10 @@
 
 use vardelay::circuit::{CellLibrary, LatchParams, StagedPipeline};
 use vardelay::core::{Pipeline, StageDelay};
-use vardelay::mc::{McConfig, PipelineMc};
+use vardelay::mc::{PipelineBlockStats, PipelineMc, PreparedPipelineMc};
 use vardelay::process::VariationConfig;
 use vardelay::ssta::SstaEngine;
+use vardelay::stats::counter_seed;
 
 fn main() {
     // 1. A pipeline: 5 stages of 8 inverters each, with TG-MSFF latches.
@@ -54,9 +55,18 @@ fn main() {
     // 5. Yield at a target, analytically and by Monte-Carlo.
     let target = t_p.quantile(0.9).round();
     let analytic_yield = model.yield_at(target);
-    let mc = PipelineMc::new(CellLibrary::default(), variation, None)
-        .run(&pipeline, &McConfig::standard(42));
-    let mc_yield = mc.pipeline.yield_at(target);
+    //    Each of the 10 000 trials draws from its own counter seed, so the
+    //    result does not depend on how trials are split into blocks.
+    let mc = PipelineMc::new(CellLibrary::default(), variation, None);
+    let prepared = PreparedPipelineMc::new(&mc, &pipeline);
+    let mut stats = PipelineBlockStats::new(pipeline.stage_count(), &[target]);
+    prepared.run_block(
+        &mut prepared.workspace(),
+        0..10_000,
+        |t| counter_seed(42, t),
+        &mut stats,
+    );
+    let mc_yield = stats.yield_estimate(0);
     println!("\nyield at {target:.0} ps:");
     println!("  analytical (eq. 9): {:.2}%", 100.0 * analytic_yield);
     println!(

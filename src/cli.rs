@@ -38,8 +38,9 @@ use vardelay_circuit::generators::{inverter_chain, iscas};
 use vardelay_circuit::{parse_bench, write_bench, CellLibrary, Netlist};
 use vardelay_core::{Pipeline, StageDelay};
 use vardelay_engine::{
-    checkpoint_line, plan_units, prepare_units, run_units, Checkpoint, EngineError, KernelSpec,
-    Shard, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport, CONTRACT_VERSION,
+    checkpoint_line, plan_units, prepare_units, run_units, BackendSpec, Checkpoint, EngineError,
+    KernelSpec, Shard, StrategySpec, Workload, WorkloadOptions, WorkloadPlan, WorkloadReport,
+    CONTRACT_VERSION,
 };
 use vardelay_process::VariationConfig;
 use vardelay_ssta::SstaEngine;
@@ -57,10 +58,13 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// The help text. The kernel keyword lists are generated from
-/// [`KernelSpec::ALL`], so help can never drift from the parser again.
+/// The help text. The kernel and strategy keyword lists are generated
+/// from [`KernelSpec::ALL`] and [`StrategySpec::ALL`], so help can never
+/// drift from the parser again.
 pub fn help() -> String {
     let kernels = KernelSpec::keyword_list();
+    // Plain (first) is the default; every other strategy has a template.
+    let strategies = StrategySpec::ALL.map(StrategySpec::keyword)[1..].join("|");
     format!(
         "\
 vardelay — statistical pipeline delay & yield (DATE 2005 reproduction)
@@ -147,7 +151,7 @@ USAGE:
       vs to execute and the adjusted cost estimate.
 
   vardelay sweep example [--backend netlist] [--kernel {kernels}]
-                         [--strategy antithetic|stratified|sobol|blockade]
+                         [--strategy {strategies}]
       Print an example sweep spec (JSON) to adapt; --backend netlist
       emits a gate-level template (circuit-spec pipelines, an analytic
       model twin for model-vs-MC deltas); --kernel stamps that trial
@@ -891,7 +895,7 @@ pub fn sweep_validate_cmd(spec_text: &str, mut opts: Vec<String>) -> Result<Stri
 
 /// `sweep example` subcommand: the spec template for a backend,
 /// optionally stamped with a trial-kernel version (`--kernel v2`), or a
-/// trial-plan template (`--strategy antithetic|stratified|sobol|blockade`).
+/// trial-plan template (`--strategy`, any [`StrategySpec`] keyword).
 pub fn sweep_example_cmd(mut opts: Vec<String>) -> Result<String, CliError> {
     let backend = take_opt(&mut opts, "--backend")?;
     let kernel = take_opt(&mut opts, "--kernel")?;
@@ -906,19 +910,25 @@ pub fn sweep_example_cmd(mut opts: Vec<String>) -> Result<String, CliError> {
     }
     let mut sweep = match (strategy.as_deref(), backend.as_deref()) {
         (Some(s), _) => {
-            let s = vardelay_engine::StrategySpec::parse(s).map_err(CliError)?;
+            let s = StrategySpec::parse(s).map_err(CliError)?;
             vardelay_engine::Sweep::example_trial_plan(s)
         }
-        (None, None | Some("pipeline")) => vardelay_engine::Sweep::example(),
-        (None, Some("netlist")) => vardelay_engine::Sweep::example_netlist(),
-        (None, Some(other)) => {
-            return Err(CliError(format!(
-                "no example for backend '{other}' (use pipeline|netlist)"
-            )))
-        }
+        (None, b) => match b.map(BackendSpec::parse) {
+            None | Some(Ok(BackendSpec::Pipeline)) => vardelay_engine::Sweep::example(),
+            Some(Ok(BackendSpec::Netlist)) => vardelay_engine::Sweep::example_netlist(),
+            _ => {
+                // Analytic scenarios run no trials, so they have no template.
+                let list = [BackendSpec::Pipeline, BackendSpec::Netlist].map(BackendSpec::keyword);
+                return Err(CliError(format!(
+                    "no example for backend '{}' (use {})",
+                    b.unwrap_or_default(),
+                    list.join("|")
+                )));
+            }
+        },
     };
     if let Some(k) = kernel.as_deref() {
-        let k = vardelay_engine::KernelSpec::parse(k).map_err(CliError)?;
+        let k = KernelSpec::parse(k).map_err(CliError)?;
         for s in &mut sweep.scenarios {
             s.kernel = k;
         }
@@ -1174,6 +1184,7 @@ mod tests {
         for cmd in ["analyze", "yield", "generate", "sweep", "optimize"] {
             assert!(h.contains(cmd));
         }
+        assert!(h.contains("[--strategy antithetic|stratified|sobol|blockade]"));
     }
 
     #[test]
@@ -1807,13 +1818,17 @@ mod tests {
         assert!(json.contains("\"backend\": \"analytic\""), "{json}");
         let sweep = vardelay_engine::Sweep::from_json(&json).unwrap();
         assert!(vardelay_engine::plan_sweep(&sweep).is_ok());
-        assert!(run(vec![
+        let err = run(vec![
             "sweep".into(),
             "example".into(),
             "--backend".into(),
-            "spice".into()
+            "spice".into(),
         ])
-        .is_err());
+        .unwrap_err();
+        assert_eq!(
+            err.0,
+            "no example for backend 'spice' (use pipeline|netlist)"
+        );
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! Gaussian vs the full Monte-Carlo sample (the strongest form of the
 //! paper's Fig. 2 comparison — not just moments, but the whole CDF).
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use vardelay::circuit::{CellLibrary, LatchParams, StagedPipeline};
 use vardelay::core::{Pipeline, StageDelay};
-use vardelay::mc::{McConfig, PipelineMc};
+use vardelay::mc::PipelineMc;
 use vardelay::process::VariationConfig;
 use vardelay::ssta::SstaEngine;
+use vardelay::stats::counter_seed;
 use vardelay::stats::ks::ks_against_normal;
 
 fn model_and_samples(
@@ -24,9 +27,16 @@ fn model_and_samples(
     let model = Pipeline::new(stages, timing.correlation)
         .expect("dims")
         .delay_distribution();
-    let mc =
-        PipelineMc::new(CellLibrary::default(), var, None).run(&pipe, &McConfig::quick(12_000, 99));
-    (model, mc.pipeline.samples().to_vec())
+    // KS needs the raw samples, so they come from the scalar v1 reference
+    // trial under the same counter seeds a prepared trial block uses.
+    let mc = PipelineMc::new(CellLibrary::default(), var, None);
+    let samples = (0..12_000)
+        .map(|t| {
+            let mut rng = StdRng::seed_from_u64(counter_seed(99, t));
+            mc.sample_trial(&pipe, &mut rng).1
+        })
+        .collect();
+    (model, samples)
 }
 
 #[test]
